@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from nc_forge.cli import _parse_y_rule, parse_natural
+from nc_forge.cli import parse_natural, parse_y_rule
 from nc_forge.sieve import build_tables
 from nc_forge.smoothness import conjecture_table, hildebrand_report, rows_to_csv
 
@@ -25,7 +25,7 @@ def main() -> int:
     args = ap.parse_args()
 
     zmax = parse_natural(args.zmax)
-    rule = _parse_y_rule(args.y_rule)
+    rule = parse_y_rule(args.y_rule)
     zs = []
     z = 100
     while z <= zmax:

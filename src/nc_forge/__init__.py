@@ -33,7 +33,6 @@ from .novak import (
     is_nc_criterion,
     is_nc_definition,
     list_nc,
-    resolve_thread_count,
 )
 from .sieve import (
     FactorTable,

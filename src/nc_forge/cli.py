@@ -85,7 +85,8 @@ def _parse_z_values(text: str) -> list[int]:
     return [parse_natural(p) for p in t.split(",") if p]
 
 
-def _parse_y_rule(text: str) -> YRule:
+def parse_y_rule(text: str) -> YRule:
+    """Smoothness bound rule from 'fixed:Y', 'power:U', or 'hild'."""
     t = text.strip()
     if t == "hild":
         return YRule(kind="hild")
@@ -174,7 +175,7 @@ def _cmd_smooth_rho(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     zs = _parse_z_values(args.z)
-    rule = _parse_y_rule(args.y_rule)
+    rule = parse_y_rule(args.y_rule)
     tables = build_tables(max(max(zs), 2), memory_budget=args.limit_memory)
     rows = conjecture_table(zs, rule, tables)
     if args.format == "json":

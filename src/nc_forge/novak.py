@@ -5,23 +5,29 @@ coprime to n; equivalently, every prime p dividing n satisfies (p-1) | n.
 Three independent routes decide membership: the divisor criterion, the
 defining congruence, and divisibility of n by the Carmichael function.
 n = 1 counts as a member (the defining congruence holds vacuously).
+
+Counting and listing rest on the structure the criterion forces.  Let S be
+the set of prime factors of n > 1.  Then n is a member exactly when S is
+*closed* (2 lies in S, and every prime factor of q-1 lies in S for each q
+in S) and M(S) = lcm(prod S, lcm of q-1 over q in S) divides n.  So the
+members above 1 are the numbers M(S)*k, one for each closed S and each
+k <= x / M(S) whose prime factors all lie in S; S is n's own support, so
+each member arises once.  Closed sets are enumerated depth first over the
+primes in increasing order: the prime factors of q-1 are smaller than q,
+so their membership is settled before q is tried.  Only primes up to
+isqrt(x) + 1 can occur, because q(q-1) divides M(S) <= x for odd q in S.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, ResourceError
-from .sieve import DEFAULT_SEGMENT_SIZE, MAX_LIMIT, FactorTable, _sieve_monolithic, factorize
+from .sieve import MAX_LIMIT, FactorTable, factorize, sieve_primes
 
 DEFINITION_ORACLE_LIMIT = 10**7
-
-THREADS_ENV = "NC_FORGE_THREADS"
 
 
 @dataclass(frozen=True)
@@ -36,21 +42,6 @@ class NovakVerdict:
     is_nc: bool
     witness_kind: str | None = None
     witness: int | None = None
-
-
-def resolve_thread_count(explicit: int | None = None) -> int:
-    """Worker count: explicit arg, else NC_FORGE_THREADS, else auto (0 = auto)."""
-    if explicit is not None and explicit > 0:
-        return explicit
-    env = os.environ.get(THREADS_ENV, "").strip()
-    if env:
-        try:
-            k = int(env)
-        except ValueError as exc:
-            raise DomainError(f"{THREADS_ENV}={env!r} is not an integer") from exc
-        if k > 0:
-            return k
-    return min(4, os.cpu_count() or 1)
 
 
 def is_nc_criterion(n: int, table: FactorTable) -> NovakVerdict:
@@ -98,102 +89,51 @@ def carmichael_lambda(n: int, table: FactorTable) -> int:
     return math.lcm(*parts)
 
 
-def _flags_from_table(lo: int, hi: int, table: FactorTable) -> np.ndarray:
-    """Criterion flags for n in [lo, hi) using a full spf table."""
-    n = np.arange(lo, hi, dtype=np.int64)
-    ok = np.ones(n.shape[0], dtype=bool)
-    residual = n.copy()
-    idx = np.flatnonzero(residual > 1)
-    while idx.size:
-        p = table.spf_many(residual[idx])
-        ok[idx] &= (n[idx] % (p - 1)) == 0  # p = 2 gives modulus 1, always 0
-        residual[idx] //= p
-        idx = idx[residual[idx] > 1]
-    return ok
+def _closed_sets(x: int) -> Iterator[tuple[list[int], int]]:
+    """Every closed prime set S with M(S) <= x, as (S ascending, M(S)); needs x >= 2."""
+    primes = sieve_primes(math.isqrt(x) + 1).primes.tolist()
+
+    def extend(s: list[int], prod_s: int, m: int, start: int) -> Iterator[tuple[list[int], int]]:
+        yield s, m
+        for j in range(start, len(primes)):
+            q = primes[j]
+            if m * q > x:  # M only grows, and so does q
+                return
+            # q-1 divides prod_s^b, where its bit length b bounds every
+            # exponent, exactly when every prime factor of q-1 lies in S.
+            if pow(prod_s, (q - 1).bit_length(), q - 1) == 0:
+                grown = math.lcm(m, q - 1) * q
+                if grown <= x:
+                    yield from extend(s + [q], prod_s * q, grown, j + 1)
+
+    yield from extend([2], 2, 2, 1)
 
 
-def _flags_from_segment(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Criterion flags for n in [lo, hi) by trial division with primes <= sqrt(hi-1)."""
-    n = np.arange(lo, hi, dtype=np.int64)
-    ok = np.ones(n.shape[0], dtype=bool)
-    residual = n.copy()
-    for p in base_primes:
-        p = int(p)
-        start = ((lo + p - 1) // p) * p
-        if start >= hi:
-            continue
-        idx = np.arange(start - lo, hi - lo, p)
-        if p > 2:
-            ok[idx] &= (n[idx] % (p - 1)) == 0
-        rem = residual[idx] // p
-        live = np.flatnonzero(rem % p == 0)
-        while live.size:
-            rem[live] //= p
-            live = live[rem[live] % p == 0]
-        residual[idx] = rem
-    big = np.flatnonzero(residual > 1)  # leftover cofactor is a prime > sqrt
-    if big.size:
-        ok[big] &= (n[big] % (residual[big] - 1)) == 0
-    return ok
+def _smooth_numbers(y: int, primes: list[int]) -> list[int]:
+    """All k <= y whose prime factors lie in primes (k = 1 included)."""
+    out = [1]
+    for p in primes:
+        grown = []
+        for k in out:
+            while k <= y:
+                grown.append(k)
+                k *= p
+        out = grown
+    return out
 
 
-def _resolve_method(x: int, table: FactorTable | None, method: str) -> str:
-    if method == "auto":
-        return "monolithic" if table is not None and table.limit >= x else "segmented"
-    if method in ("monolithic", "table"):
-        if table is None or table.limit < x:
-            raise DomainError("monolithic mode needs a factor table covering x")
-        return "monolithic"
-    if method == "segmented":
-        return "segmented"
-    raise DomainError(f"unknown method {method!r}")
-
-
-def _segment_ranges(x: int, segment_size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + segment_size, x + 1)) for lo in range(2, x + 1, segment_size)]
-
-
-def count_nc(
-    x: int,
-    table: FactorTable | None = None,
-    *,
-    method: str = "auto",
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int | None = None,
-) -> int:
-    """Exact count of Novak-Carmichael numbers <= x (n = 1 included).
-
-    The monolithic path sweeps a full factor table; the segmented path
-    streams blocks with base primes up to sqrt(x) and needs no table.
-    Both paths agree exactly.
-    """
+def count_nc(x: int) -> int:
+    """Exact count of Novak-Carmichael numbers <= x (n = 1 included)."""
     if x < 1:
         raise DomainError(f"count_nc needs x >= 1, got {x}")
     if x > MAX_LIMIT:
         raise ResourceError(f"x={x} exceeds the supported ceiling 2^40")
     if x == 1:
         return 1
-    mode = _resolve_method(x, table, method)
-    if mode == "monolithic":
-        return 1 + int(_flags_from_table(2, x + 1, table).sum())
-    base = _sieve_monolithic(math.isqrt(x))
-    ranges = _segment_ranges(x, segment_size)
-    workers = resolve_thread_count(threads)
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = pool.map(lambda t: int(_flags_from_segment(t[0], t[1], base).sum()), ranges)
-            return 1 + sum(counts)
-    return 1 + sum(int(_flags_from_segment(lo, hi, base).sum()) for lo, hi in ranges)
+    return 1 + sum(len(_smooth_numbers(x // m, s)) for s, m in _closed_sets(x))
 
 
-def list_nc(
-    x: int,
-    table: FactorTable | None = None,
-    *,
-    method: str = "auto",
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int | None = None,
-) -> list[int]:
+def list_nc(x: int) -> list[int]:
     """Ordered members <= x; length equals count_nc(x)."""
     if x < 1:
         raise DomainError(f"list_nc needs x >= 1, got {x}")
@@ -201,21 +141,4 @@ def list_nc(
         raise ResourceError(f"x={x} exceeds the supported ceiling 2^40")
     if x == 1:
         return [1]
-    mode = _resolve_method(x, table, method)
-    if mode == "monolithic":
-        flags = _flags_from_table(2, x + 1, table)
-        return [1] + (np.flatnonzero(flags) + 2).tolist()
-    base = _sieve_monolithic(math.isqrt(x))
-    ranges = _segment_ranges(x, segment_size)
-    workers = resolve_thread_count(threads)
-
-    def members(t: tuple[int, int]) -> np.ndarray:
-        lo, hi = t
-        return np.flatnonzero(_flags_from_segment(lo, hi, base)) + lo
-
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(members, ranges))
-    else:
-        chunks = [members(t) for t in ranges]
-    return [1] + np.concatenate(chunks).tolist()
+    return [1] + sorted(m * k for s, m in _closed_sets(x) for k in _smooth_numbers(x // m, s))

@@ -1,11 +1,14 @@
 """Brute-force reference implementations used to pin expected values.
 
-Everything here is deliberately slow and simple: trial division, Pascal's
-triangle, and a trapezoid solver of the integral form of the rho delay
-equation.  None of it shares code with the package under test.
+Everything here is deliberately slow and simple: trial division, a
+divisor-criterion sieve, Pascal's triangle, and a trapezoid solver of the
+integral form of the rho delay equation.  None of it shares code with the
+package under test.
 """
 
 import math
+
+import numpy as np
 
 
 def trial_primes(limit):
@@ -44,6 +47,31 @@ def smooth_count(x, y):
 
 def shifted_smooth_primes(x, y):
     return [p for p in trial_primes(x) if trial_gpf(p - 1) <= y]
+
+
+def nc_flags_sieve(x):
+    """flags[n] is True iff n <= x is Novak-Carmichael, by the divisor criterion.
+
+    One sieve pass over [2, x]: each prime p <= sqrt(x) checks (p-1) | n on
+    its multiples and divides itself out; what is left above 1 is a single
+    prime factor larger than sqrt(x), checked last.
+    """
+    flags = np.zeros(x + 1, dtype=bool)
+    flags[1:] = True
+    n = np.arange(x + 1, dtype=np.int64)
+    residual = n.copy()
+    for p in trial_primes(math.isqrt(x)):
+        idx = np.arange(p, x + 1, p)
+        flags[idx] &= n[idx] % (p - 1) == 0
+        rem = residual[idx] // p
+        live = np.flatnonzero(rem % p == 0)
+        while live.size:
+            rem[live] //= p
+            live = live[rem[live] % p == 0]
+        residual[idx] = rem
+    big = np.flatnonzero(residual > 1)
+    flags[big] &= n[big] % (residual[big] - 1) == 0
+    return flags
 
 
 def pascal_binomial(n, k):

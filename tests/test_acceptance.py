@@ -23,6 +23,7 @@ from nc_forge.smoothness import (
     shifted_smooth_set,
 )
 
+from oracles import nc_flags_sieve
 from test_construction import all_subsets
 
 
@@ -117,15 +118,13 @@ def test_conjecture_ratio_table(tables_1e6):
     _report("conjecture-table")
 
 
-def test_performance_floor(tables_1e6):
+def test_performance_floor():
     start = time.perf_counter()
     count = count_nc(10**7)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"count to 1e7 took {elapsed:.1f}s"
     assert count >= count_nc(10**6)
-    seg = count_nc(10**6, method="segmented")
-    mono = count_nc(10**6, tables_1e6.factors, method="monolithic")
-    assert seg == mono
+    assert count_nc(10**6) == int(nc_flags_sieve(10**6).sum())
     _report("performance-floor")
 
 

@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nc_forge.errors import DomainError, ResourceError
 from nc_forge.novak import (
@@ -11,11 +12,15 @@ from nc_forge.novak import (
     is_nc_criterion,
     is_nc_definition,
     list_nc,
-    resolve_thread_count,
 )
 from nc_forge.sieve import factorize
 
-from oracles import group_exponent
+from oracles import group_exponent, nc_flags_sieve
+
+
+@pytest.fixture(scope="module")
+def oracle_flags():
+    return nc_flags_sieve(200_000)
 
 
 def test_criterion_examples(tables_small):
@@ -80,9 +85,19 @@ def test_list_examples():
     assert 42 in members and 30 not in members
 
 
-def test_list_length_equals_count():
-    for x in (1, 2, 17, 1000, 4096):
-        assert len(list_nc(x)) == count_nc(x)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=200_000))
+@example(1)
+@example(2)
+@example(17)
+@example(1000)
+@example(4096)
+def test_list_length_equals_count(oracle_flags, x):
+    members = list_nc(x)
+    flags = oracle_flags[: x + 1]
+    assert count_nc(x) == len(members) == int(flags.sum())
+    assert all(a < b for a, b in zip(members, members[1:]))
+    assert members == np.flatnonzero(flags).tolist()
 
 
 def test_count_nondecreasing():
@@ -122,30 +137,15 @@ def test_closure_under_prime_multiplication(tables_small):
             assert all(m % (q - 1) == 0 for q, _ in fs if q > 2), (n, p)
 
 
-def test_segmented_agrees_with_monolithic(tables_1e6):
-    seg = count_nc(10**6, method="segmented")
-    mono = count_nc(10**6, tables_1e6.factors, method="monolithic")
-    assert seg == mono
-    seg_list = list_nc(10**5, method="segmented", segment_size=4096)
-    mono_list = list_nc(10**5, tables_1e6.factors, method="monolithic")
-    assert seg_list == mono_list
+def test_segmented_agrees_with_monolithic():
+    """The closed-set enumeration agrees with the criterion sieve oracle."""
+    assert count_nc(10**6) == int(nc_flags_sieve(10**6).sum())
+    assert list_nc(10**5) == np.flatnonzero(nc_flags_sieve(10**5)).tolist()
 
 
-def test_segment_size_does_not_change_results():
-    a = count_nc(30_000, method="segmented", segment_size=999)
-    b = count_nc(30_000, method="segmented", segment_size=1 << 20)
-    assert a == b
-
-
-def test_thread_count_does_not_change_results():
-    a = count_nc(200_000, method="segmented", segment_size=10_000, threads=1)
-    b = count_nc(200_000, method="segmented", segment_size=10_000, threads=4)
-    assert a == b
-
-
-def test_monolithic_requires_covering_table(tables_small):
-    with pytest.raises(DomainError):
-        count_nc(10**6, tables_small.factors, method="monolithic")
+@pytest.mark.parametrize("x, want", [(10**8, 54_382), (10**9, 192_826)], ids=["1e8", "1e9"])
+def test_count_above_1e7(x, want):
+    assert count_nc(x) == want
 
 
 def test_count_rejects_bad_arguments():
@@ -153,19 +153,6 @@ def test_count_rejects_bad_arguments():
         count_nc(0)
     with pytest.raises(ResourceError):
         count_nc((1 << 40) + 1)
-
-
-def test_resolve_thread_count(monkeypatch):
-    monkeypatch.setenv("NC_FORGE_THREADS", "3")
-    assert resolve_thread_count() == 3
-    monkeypatch.setenv("NC_FORGE_THREADS", "0")
-    assert resolve_thread_count() >= 1
-    monkeypatch.delenv("NC_FORGE_THREADS")
-    assert resolve_thread_count() >= 1
-    assert resolve_thread_count(7) == 7
-    monkeypatch.setenv("NC_FORGE_THREADS", "junk")
-    with pytest.raises(DomainError):
-        resolve_thread_count()
 
 
 @settings(max_examples=200, deadline=None)
