@@ -15,13 +15,12 @@ zero-certificate rather than an error.
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
-
-import mpmath
 
 from .construction import build_base, build_member, shifted_part_divides_base
 from .errors import DomainError, ResourceError
@@ -55,6 +54,13 @@ _POW10_RE = re.compile(r"^10\^(\d+)$")
 _POWE_RE = re.compile(r"^e\^(\d+(?:\.\d+)?)$")
 
 
+def _exact_int(value) -> int:
+    """int(value), but digit strings convert at any length (int() stops at 4 300 digits)."""
+    if isinstance(value, str) and _DECIMAL_RE.match(value):
+        return int(decimal.Decimal(value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Threshold:
     """The bound x: exact integer value plus its original notation.
@@ -77,7 +83,7 @@ def parse_threshold(notation: str | int) -> Threshold:
     if isinstance(notation, int):
         if notation < 1:
             raise DomainError(f"x must be positive, got {notation}")
-        return Threshold(text=str(notation), value=notation, log=math.log(notation))
+        return Threshold(text=str(decimal.Decimal(notation)), value=notation, log=math.log(notation))
     text = notation.strip().replace("_", "")
     m = _POW10_RE.match(text)
     if m:
@@ -91,11 +97,13 @@ def parse_threshold(notation: str | int) -> Threshold:
         if k > MAX_NOTATION_EXPONENT:
             raise ResourceError(f"e^{m.group(1)} is beyond the supported notation range")
         digits = int(k / math.log(10.0)) + GUARD_DIGITS
+        import mpmath  # only e^k needs it; importing it costs every CLI start
+
         with mpmath.workdps(digits + 10):
             value = int(mpmath.floor(mpmath.exp(mpmath.mpf(m.group(1)))))
         return Threshold(text=text, value=value, log=k)
     if _DECIMAL_RE.match(text):
-        value = int(text)
+        value = _exact_int(text)
         if value < 1:
             raise DomainError("x must be positive")
         return Threshold(text=text, value=value, log=math.log(value))
@@ -202,7 +210,7 @@ class LowerBoundCertificate:
             "pi": self.pi,
             "exponents": [[p, e] for p, e in self.exponents],
             "A": self.A,
-            "count": str(self.count),
+            "count": str(decimal.Decimal(self.count)),  # str() stops at 4 300 digits
             "log10_count": self.log10_count,
             "max_member_check": self.max_member_check,
             "lemma2_applicable": self.lemma2_applicable,
@@ -221,7 +229,7 @@ class LowerBoundCertificate:
                 pi=int(data["pi"]),
                 exponents=tuple((int(p), int(e)) for p, e in data["exponents"]),
                 A=int(data["A"]),
-                count=int(data["count"]),
+                count=_exact_int(data["count"]),
                 log10_count=float(data["log10_count"]),
                 max_member_check=bool(data["max_member_check"]),
                 lemma2_applicable=bool(data["lemma2_applicable"]),
@@ -402,7 +410,9 @@ def enumerate_certificate(
     if cert.count == 0:
         return EnumerationReport(0, True, True, True, True)
     if cert.count > cap:
-        raise ResourceError(f"{cert.count} members exceed the enumeration cap {cap}")
+        raise ResourceError(
+            f"binomial({cert.pi}, {cert.A}) members exceed the enumeration cap {cap}"
+        )
     x = parse_threshold(cert.x)
     if tables is None:
         tables = build_tables(cert.s, memory_budget=memory_budget)

@@ -269,8 +269,8 @@ def _cmd_verify(args) -> int:
             data = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read certificate: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"certificate is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bad JSON, or a JSON number over the int/str digit limit
+        raise DomainError(f"cannot parse certificate: {exc}") from exc
     ok, mismatches = verify_certificate(data, memory_budget=args.limit_memory)
     if ok:
         print("ok")

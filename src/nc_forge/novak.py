@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ResourceError
 from .sieve import MAX_LIMIT, FactorTable, factorize, sieve_primes
+from .smoothness import count_smooth
 
 DEFINITION_ORACLE_LIMIT = 10**7
 
@@ -130,7 +131,7 @@ def count_nc(x: int) -> int:
         raise ResourceError(f"x={x} exceeds the supported ceiling 2^40")
     if x == 1:
         return 1
-    return 1 + sum(len(_smooth_numbers(x // m, s)) for s, m in _closed_sets(x))
+    return 1 + sum(count_smooth(x // m, s) for s, m in _closed_sets(x))
 
 
 def list_nc(x: int) -> list[int]:

@@ -1,8 +1,10 @@
 """Prime sieves and smallest-prime-factor tables.
 
 Tables are immutable after construction and safe to share across threads.
-Sieving is deterministic: the segmented and monolithic code paths produce
-identical prime sequences, independent of the segment size.
+sieve_primes takes the base primes <= sqrt(limit) from one flag array and
+strikes their multiples out of the rest segment by segment, so its working
+set beyond the output is one segment; the primes do not depend on the
+segment size.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
+SEGMENT_SIZE = 1 << 20  # flags per segment of the sieve above sqrt(limit)
 MAX_LIMIT = 1 << 40
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes allowed for one factor table
 
@@ -127,36 +129,10 @@ def _sieve_segmented(limit: int, segment_size: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def sieve_primes(
-    limit: int,
-    *,
-    method: str = "auto",
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> PrimeTable:
-    """Sieve all primes up to limit.
-
-    Parameters
-    ----------
-    limit : int
-        Inclusive upper bound, at least 2.
-    method : str
-        "monolithic" (one flag array), "segmented" (bounded working set),
-        or "auto" (segmented above 2^22).  All methods return identical
-        tables.
-    segment_size : int
-        Entries per segment in segmented mode.
-    """
+def sieve_primes(limit: int) -> PrimeTable:
+    """Sieve all primes up to limit (inclusive, at least 2)."""
     _check_limit(limit)
-    if segment_size < 1:
-        raise DomainError("segment_size must be positive")
-    if method == "auto":
-        method = "monolithic" if limit <= (1 << 22) else "segmented"
-    if method == "monolithic":
-        primes = _sieve_monolithic(limit)
-    elif method == "segmented":
-        primes = _sieve_segmented(limit, segment_size)
-    else:
-        raise DomainError(f"unknown sieve method {method!r}")
+    primes = _sieve_segmented(limit, SEGMENT_SIZE)
     primes.setflags(write=False)
     return PrimeTable(limit=limit, primes=primes, count=len(primes))
 
@@ -174,8 +150,8 @@ def build_factor_table(
         Inclusive upper bound, at least 2.
     memory_budget : int, optional
         Maximum bytes for the internal array (default 2 GiB).  A limit
-        whose table would not fit raises ResourceError; stream with the
-        segmented operations (count_nc, psi_count, ...) instead.
+        whose table would not fit raises ResourceError; count_nc, list_nc
+        and the segmented sieve_primes need no factor table.
     """
     _check_limit(limit)
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
@@ -185,8 +161,8 @@ def build_factor_table(
     if needed > budget:
         raise ResourceError(
             f"factor table for limit {limit} needs {needed} bytes, over the "
-            f"{budget}-byte budget; use the segmented streaming operations "
-            f"or raise the budget"
+            f"{budget}-byte budget; raise the budget, or use count_nc, list_nc "
+            f"or the segmented sieve_primes, which need no table"
         )
     spf_odd = np.zeros(half, dtype=dtype)
     for p in range(3, math.isqrt(limit) + 1, 2):

@@ -9,13 +9,14 @@ from __future__ import annotations
 import logging
 import math
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .sieve import DEFAULT_SEGMENT_SIZE, FactorTable, PrimeTable, Tables
+from .sieve import FactorTable, PrimeTable, Tables, sieve_primes
 
 logger = logging.getLogger(__name__)
 
@@ -105,46 +106,58 @@ def _gpf_chunk(table: FactorTable, ns: np.ndarray) -> np.ndarray:
     return g
 
 
-def psi_count(
-    x: int,
-    y: int,
-    table: FactorTable,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> int:
-    """Count the y-smooth integers n <= x (n = 1 included)."""
+def count_smooth(x: int, primes: Sequence[int]) -> int:
+    """Count the n <= x (n = 1 included) whose prime factors all lie in primes (ascending).
+
+    Grouping n > 1 by its largest prime factor p_j gives the memoised recursion
+    C(x, k) = 1 + sum over j < k with p_j <= x of C(x // p_j, j + 1) (Hildebrand and
+    Tenenbaum, JTNB 5, 1993).  Each level divides x by 2 or more: depth <= log2(x).
+    """
+    memo: dict[tuple[int, int], int] = {}
+
+    def count(m: int, k: int) -> int:
+        k = min(k, bisect_right(primes, m))  # primes above m divide no n <= m
+        key = (m, k)
+        total = memo.get(key)
+        if total is None:
+            total = 1
+            for j in range(k):
+                total += count(m // primes[j], j + 1)
+            memo[key] = total
+        return total
+
+    return count(x, len(primes))
+
+
+def psi_count(x: int, y: int, table: FactorTable) -> int:
+    """Count the y-smooth integers n <= x (n = 1 included), from the primes <= y alone.
+
+    table is not read: it only bounds the domain, and x above table.limit raises DomainError.
+    """
     if x < 1:
         raise DomainError(f"psi_count needs x >= 1, got {x}")
     if y < 1:
         raise DomainError(f"psi_count needs y >= 1, got {y}")
     if x > table.limit:
         raise DomainError(f"x={x} exceeds table limit {table.limit}")
-    total = 0
-    for lo in range(1, x + 1, segment_size):
-        ns = np.arange(lo, min(lo + segment_size, x + 1), dtype=np.int64)
-        total += int((_gpf_chunk(table, ns) <= y).sum())
-    return total
+    if min(x, y) < 2:
+        return 1
+    return count_smooth(x, sieve_primes(min(x, y)).primes.tolist())
 
 
-def pi_smooth_count(
-    x: int,
-    y: int,
-    primes: PrimeTable,
-    table: FactorTable,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> int:
-    """Count primes p <= x with p-1 being y-smooth."""
+def _shifted_smooth_primes(name: str, x: int, y: int, primes: PrimeTable, table: FactorTable):
+    """The primes p <= x whose shift p-1 is y-smooth, as an ascending array."""
     if x < 2 or y < 1:
-        raise DomainError(f"pi_smooth_count needs x >= 2 and y >= 1, got x={x}, y={y}")
+        raise DomainError(f"{name} needs x >= 2 and y >= 1, got x={x}, y={y}")
     if x > primes.limit or x - 1 > table.limit:
         raise DomainError(f"x={x} exceeds table limits")
     ps = primes.primes[: primes.pi(x)]
-    total = 0
-    for lo in range(0, len(ps), segment_size):
-        shifted = ps[lo : lo + segment_size] - 1
-        total += int((_gpf_chunk(table, shifted) <= y).sum())
-    return total
+    return ps[_gpf_chunk(table, ps - 1) <= y]
+
+
+def pi_smooth_count(x: int, y: int, primes: PrimeTable, table: FactorTable) -> int:
+    """Count primes p <= x with p-1 being y-smooth."""
+    return len(_shifted_smooth_primes("pi_smooth_count", x, y, primes, table))
 
 
 def shifted_smooth_set(
@@ -154,13 +167,7 @@ def shifted_smooth_set(
     table: FactorTable,
 ) -> ShiftedSmoothSet:
     """Materialise the set of primes p <= x with y-smooth shift p-1."""
-    if x < 2 or y < 1:
-        raise DomainError(f"shifted_smooth_set needs x >= 2 and y >= 1, got x={x}, y={y}")
-    if x > primes.limit or x - 1 > table.limit:
-        raise DomainError(f"x={x} exceeds table limits")
-    ps = primes.primes[: primes.pi(x)]
-    keep = _gpf_chunk(table, ps - 1) <= y
-    members = tuple(int(p) for p in ps[keep])
+    members = tuple(_shifted_smooth_primes("shifted_smooth_set", x, y, primes, table).tolist())
     return ShiftedSmoothSet(x=x, y=y, members=members, count=len(members))
 
 
@@ -188,8 +195,9 @@ class _DickmanGrid:
 
     def extend_to(self, blocks: int) -> None:
         with self._lock:
+            prev = self.values[-(_NODES + 1) :]
+            new = []
             while self.blocks < blocks:
-                prev = self.values[-(_NODES + 1) :]
                 mid = np.empty(_NODES)
                 mid[1:-1] = (-prev[:-3] + 9.0 * prev[1:-2] + 9.0 * prev[2:-1] - prev[3:]) / 16.0
                 mid[0] = 0.3125 * prev[0] + 0.9375 * prev[1] - 0.3125 * prev[2] + 0.0625 * prev[3]
@@ -199,10 +207,13 @@ class _DickmanGrid:
                 f_hi = prev[1:] / ts[1:]
                 f_mid = mid / (ts[:-1] + 0.5 * _H)
                 steps = (_H / 6.0) * (f_lo + 4.0 * f_mid + f_hi)
-                block = self.values[-1] - np.cumsum(steps)
+                block = prev[-1] - np.cumsum(steps)
                 np.maximum(block, 0.0, out=block)  # clamp double-precision underflow
-                self.values = np.concatenate([self.values, block])
+                new.append(block)
+                prev = np.concatenate([prev[-1:], block])
                 self.blocks += 1
+            if new:  # one copy of the grid per call, not one per block
+                self.values = np.concatenate([self.values, *new])
 
     def eval(self, u: float) -> float:
         self.extend_to(max(1, math.ceil(u)))
@@ -255,8 +266,6 @@ def conjecture_table(
     z_values: Sequence[int],
     y_rule: YRule,
     tables: Tables,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> list[ConjectureRow]:
     """Exact ratio rows: shifted-smooth primes over all primes vs smooth integers over z."""
     if not z_values:
@@ -267,8 +276,8 @@ def conjecture_table(
             raise DomainError(f"z={z} exceeds table limit {tables.limit}")
         y = y_rule.y_for(z)
         n_primes = tables.primes.pi(z)
-        n_shifted = pi_smooth_count(z, y, tables.primes, tables.factors, segment_size=segment_size)
-        n_smooth = psi_count(z, y, tables.factors, segment_size=segment_size)
+        n_shifted = pi_smooth_count(z, y, tables.primes, tables.factors)
+        n_smooth = psi_count(z, y, tables.factors)
         rows.append(
             ConjectureRow(
                 z=z,
@@ -314,8 +323,6 @@ def rows_to_json(rows: Iterable[ConjectureRow]) -> list[dict]:
 def hildebrand_report(
     z_values: Sequence[int],
     tables: Tables,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> list[HildebrandRow]:
     """Observed exponent e(z) = -log(psi/z) / (sqrt(log z) loglog z) at y = round(e^sqrt(log z))."""
     if not z_values:
@@ -324,7 +331,7 @@ def hildebrand_report(
     for z in sorted(int(z) for z in z_values):
         lz = math.log(z)
         y = round(math.exp(math.sqrt(lz)))
-        n_smooth = psi_count(z, y, tables.factors, segment_size=segment_size)
+        n_smooth = psi_count(z, y, tables.factors)
         ratio = n_smooth / z
         exponent = -math.log(ratio) / (math.sqrt(lz) * math.log(lz))
         rows.append(HildebrandRow(z=z, y=y, psi=n_smooth, ratio=ratio, exponent=exponent))

@@ -179,6 +179,17 @@ def test_verify_roundtrip_through_json():
     assert LowerBoundCertificate.from_dict(data) == cert
 
 
+def test_roundtrip_of_count_over_the_int_str_limit():
+    cert = certify_lower_bound(Schedule.t1(parse_threshold("e^100000"), 0.5))
+    assert len(cert.to_dict()["count"]) == 5999
+    data = json.loads(json.dumps(cert.to_dict()))
+    assert LowerBoundCertificate.from_dict(data) == cert
+    ok, mismatches = verify_certificate(data)
+    assert ok, mismatches
+    with pytest.raises(ResourceError):
+        enumerate_certificate(data)
+
+
 MUTATIONS = {
     "x": "10^24",
     "r": 11,

@@ -121,12 +121,16 @@ def test_verify_flags_mutations(capsys, tmp_path):
 
 
 def test_certify_schedule_t1(capsys):
-    code, out, _ = invoke(
-        capsys, "certify", "--x", "e^10000", "--schedule", "t1", "--u", "0.5",
-        "--format", "json",
-    )
-    cert = json.loads(out)
-    assert (cert["r"], cert["s"]) == (117, 13689)
+    # The count at e^100000 has 5 999 digits, over CPython's int/str limit.
+    for x, r, s in (("e^10000", 117, 13689), ("e^100000", 754, 568516)):
+        code, out, err = invoke(
+            capsys, "certify", "--x", x, "--schedule", "t1", "--u", "0.5",
+            "--format", "json",
+        )
+        assert code == EXIT_OK
+        assert "Traceback" not in err
+        cert = json.loads(out)
+        assert (cert["r"], cert["s"]) == (r, s)
 
 
 def test_certify_enumerate(capsys):
@@ -149,6 +153,12 @@ def test_exit_codes(capsys):
     assert invoke(capsys, "smooth", "rho", "--u", "-1")[0] == EXIT_DOMAIN
     assert invoke(capsys, "nc", "count", "--bogus", "1")[0] == EXIT_DOMAIN
     assert invoke(capsys, "verify", "--cert", "/nonexistent.json")[0] == EXIT_DOMAIN
+
+
+def test_verify_rejects_json_number_over_the_digit_limit(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text('{"count": ' + "9" * 5000 + "}")
+    assert invoke(capsys, "verify", "--cert", str(path))[0] == EXIT_DOMAIN
 
 
 def test_memory_budget_flag(capsys):

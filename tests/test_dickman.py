@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nc_forge.errors import DomainError
-from nc_forge.smoothness import dickman_rho
+from nc_forge.smoothness import _DickmanGrid, dickman_rho
 
 from oracles import dickman_oracle
 
@@ -67,6 +67,17 @@ def test_continuity_at_interval_joints():
     for u in (2.0, 3.0, 5.0):
         eps = 1e-7
         assert abs(dickman_rho(u - eps) - dickman_rho(u + eps)) < 1e-6
+
+
+def test_grid_extension_does_not_depend_on_call_pattern():
+    at_once = _DickmanGrid()
+    at_once.extend_to(40)
+    by_block = _DickmanGrid()
+    for blocks in range(1, 41):
+        by_block.extend_to(blocks)
+    by_block.extend_to(20)  # asking for fewer blocks keeps the grid
+    assert at_once.blocks == by_block.blocks == 40
+    assert at_once.values.tobytes() == by_block.values.tobytes()
 
 
 def test_rejects_negative():

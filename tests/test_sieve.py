@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from nc_forge.errors import DomainError, ResourceError
 from nc_forge.sieve import (
+    _sieve_monolithic,
+    _sieve_segmented,
     build_factor_table,
     factorize,
     sieve_primes,
@@ -48,16 +50,15 @@ def test_prime_count_matches_trial_division_to_1e5():
 
 
 def test_segmented_matches_monolithic_to_1e7():
-    mono = sieve_primes(10**7, method="monolithic")
-    seg = sieve_primes(10**7, method="segmented")
-    assert np.array_equal(mono.primes, seg.primes)
+    mono = _sieve_monolithic(10**7)
+    assert np.array_equal(sieve_primes(10**7).primes, mono)
+    assert np.array_equal(_sieve_segmented(10**7, 1 << 20), mono)
 
 
 @pytest.mark.parametrize("segment_size", [1 << 12, 1 << 20, 9973])
 def test_segment_size_does_not_change_output(segment_size):
-    seg = sieve_primes(10**6, method="segmented", segment_size=segment_size)
-    mono = sieve_primes(10**6, method="monolithic")
-    assert np.array_equal(seg.primes, mono.primes)
+    seg = _sieve_segmented(10**6, segment_size)
+    assert np.array_equal(seg, _sieve_monolithic(10**6))
 
 
 @pytest.mark.parametrize("bad", [0, 1, -5])

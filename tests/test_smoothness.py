@@ -2,14 +2,16 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nc_forge.errors import DomainError
+from nc_forge.novak import _smooth_numbers
 from nc_forge.sieve import build_tables
 from nc_forge.smoothness import (
     CSV_HEADER,
     YRule,
     conjecture_table,
+    count_smooth,
     greatest_prime_factor,
     hildebrand_report,
     pi_smooth_count,
@@ -19,7 +21,16 @@ from nc_forge.smoothness import (
     shifted_smooth_set,
 )
 
-from oracles import shifted_smooth_primes, smooth_count, trial_gpf
+from oracles import shifted_smooth_primes, smooth_count, trial_factorize, trial_gpf, trial_primes
+
+SUBSET_X = 10_000
+SMALL_PRIMES = trial_primes(60)
+
+
+@pytest.fixture(scope="module")
+def supports():
+    """supports[n] is the set of prime factors of n, by trial division."""
+    return [frozenset(p for p, _ in trial_factorize(n)) for n in range(SUBSET_X + 1)]
 
 
 def test_gpf_examples(tables_small):
@@ -49,10 +60,33 @@ def test_psi_examples(tables_small):
     assert psi_count(100, 1, t) == 1
 
 
-def test_psi_matches_brute_force(tables_small):
-    t = tables_small.factors
-    for y in (2, 3, 7, 20):
-        assert psi_count(300, y, t) == smooth_count(300, y)
+@settings(max_examples=100, deadline=None)
+@given(x=st.integers(min_value=1, max_value=3000), y=st.integers(min_value=1, max_value=3000))
+@example(x=300, y=2)
+@example(x=300, y=3)
+@example(x=300, y=7)
+@example(x=300, y=20)
+def test_psi_matches_brute_force(tables_small, x, y):
+    assert psi_count(x, y, tables_small.factors) == smooth_count(x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    x=st.integers(min_value=1, max_value=SUBSET_X),
+    mask=st.lists(st.booleans(), min_size=len(SMALL_PRIMES), max_size=len(SMALL_PRIMES)),
+)
+def test_count_smooth_matches_listing_and_brute_force(supports, x, mask):
+    s = [p for p, keep in zip(SMALL_PRIMES, mask) if keep]
+    allowed = set(s)
+    brute = sum(1 for n in range(1, x + 1) if supports[n] <= allowed)
+    assert count_smooth(x, s) == len(_smooth_numbers(x, s)) == brute
+
+
+def test_psi_pinned_at_1e7(tables_1e7):
+    f = tables_1e7.factors
+    assert psi_count(10**7, 55, f) == 115_696
+    assert psi_count(10**7, 3162, f) == 3_362_157
+    assert psi_count(10**7, 10**5, f) == 6_917_610
 
 
 def test_psi_equals_x_when_y_large(tables_small):
