@@ -15,14 +15,19 @@ zero-certificate rather than an error.
 
 from __future__ import annotations
 
-import decimal
 import math
 import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .construction import build_base, build_member, shifted_part_divides_base
+from .construction import (
+    build_base,
+    build_member,
+    int_from_decimal,
+    int_to_decimal,
+    shifted_part_divides_base,
+)
 from .errors import DomainError, ResourceError
 from .sieve import Tables, build_tables
 from .smoothness import shifted_smooth_set
@@ -49,16 +54,8 @@ CERT_FIELDS = (
     "lemma2_applicable",
 )
 
-_DECIMAL_RE = re.compile(r"^\d+$")
 _POW10_RE = re.compile(r"^10\^(\d+)$")
 _POWE_RE = re.compile(r"^e\^(\d+(?:\.\d+)?)$")
-
-
-def _exact_int(value) -> int:
-    """int(value), but digit strings convert at any length (int() stops at 4 300 digits)."""
-    if isinstance(value, str) and _DECIMAL_RE.match(value):
-        return int(decimal.Decimal(value))
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ def parse_threshold(notation: str | int) -> Threshold:
     if isinstance(notation, int):
         if notation < 1:
             raise DomainError(f"x must be positive, got {notation}")
-        return Threshold(text=str(decimal.Decimal(notation)), value=notation, log=math.log(notation))
+        return Threshold(text=int_to_decimal(notation), value=notation, log=math.log(notation))
     text = notation.strip().replace("_", "")
     m = _POW10_RE.match(text)
     if m:
@@ -102,8 +99,8 @@ def parse_threshold(notation: str | int) -> Threshold:
         with mpmath.workdps(digits + 10):
             value = int(mpmath.floor(mpmath.exp(mpmath.mpf(m.group(1)))))
         return Threshold(text=text, value=value, log=k)
-    if _DECIMAL_RE.match(text):
-        value = _exact_int(text)
+    if text.isdecimal():
+        value = int_from_decimal(text)
         if value < 1:
             raise DomainError("x must be positive")
         return Threshold(text=text, value=value, log=math.log(value))
@@ -210,7 +207,7 @@ class LowerBoundCertificate:
             "pi": self.pi,
             "exponents": [[p, e] for p, e in self.exponents],
             "A": self.A,
-            "count": str(decimal.Decimal(self.count)),  # str() stops at 4 300 digits
+            "count": int_to_decimal(self.count),
             "log10_count": self.log10_count,
             "max_member_check": self.max_member_check,
             "lemma2_applicable": self.lemma2_applicable,
@@ -229,7 +226,7 @@ class LowerBoundCertificate:
                 pi=int(data["pi"]),
                 exponents=tuple((int(p), int(e)) for p, e in data["exponents"]),
                 A=int(data["A"]),
-                count=_exact_int(data["count"]),
+                count=int_from_decimal(data["count"]),
                 log10_count=float(data["log10_count"]),
                 max_member_check=bool(data["max_member_check"]),
                 lemma2_applicable=bool(data["lemma2_applicable"]),

@@ -19,7 +19,7 @@ from .certify import (
     parse_threshold,
     verify_certificate,
 )
-from .construction import build_base, build_member, member_to_dict
+from .construction import build_base, build_member, int_to_decimal, member_to_dict
 from .errors import DomainError, ResourceError
 from .novak import count_nc, is_nc_criterion, list_nc
 from .sieve import build_factor_table, build_tables
@@ -56,7 +56,12 @@ def parse_natural(text: str) -> int:
     t = str(text).strip().replace("_", "")
     try:
         if t.startswith("10^"):
-            n = 10 ** int(t[3:])
+            k = int(t[3:])
+            if k < 0:
+                raise ValueError(t)
+            if k > 4000:  # keeps 10^k printable: str() stops at 4 300 digits
+                raise ResourceError(f"10^{k} is beyond the supported notation range")
+            n = 10**k
         elif any(c in t for c in "eE") and "^" not in t:
             f = float(t)
             n = int(f)
@@ -93,7 +98,10 @@ def parse_y_rule(text: str) -> YRule:
     if t.startswith("fixed:"):
         return YRule(kind="fixed", value=parse_natural(t[6:]))
     if t.startswith("power:"):
-        u = float(t[6:])
+        try:
+            u = float(t[6:])
+        except ValueError as exc:
+            raise DomainError(f"power rule needs a number, got {t[6:]!r}") from exc
         if not 0 < u:
             raise DomainError("power rule needs u > 0")
         return YRule(kind="power", value=u)
@@ -110,9 +118,7 @@ def _verdict_dict(v) -> dict:
 
 
 def _cmd_nc_check(args) -> int:
-    n = parse_natural(args.n)
-    table = build_factor_table(max(n, 2), memory_budget=args.limit_memory)
-    v = is_nc_criterion(n, table)
+    v = is_nc_criterion(parse_natural(args.n))
     if args.format == "json":
         _emit(_verdict_dict(v))
     elif v.is_nc:
@@ -192,6 +198,10 @@ def _cmd_conjecture(args) -> int:
     return EXIT_OK
 
 
+def _member_line(member) -> str:
+    return f"E={int_to_decimal(member.value)} subset={','.join(str(p) for p in member.subset)}"
+
+
 def _cmd_construct(args) -> int:
     r, s = parse_natural(args.r), parse_natural(args.s)
     tables = build_tables(max(s, 2), memory_budget=args.limit_memory)
@@ -203,7 +213,7 @@ def _cmd_construct(args) -> int:
         if args.format == "json":
             _emit(member_to_dict(member))
         else:
-            print(f"E={member.value} subset={','.join(str(p) for p in member.subset)}")
+            print(_member_line(member))
     elif args.all:
         if pset.count > CONSTRUCT_ALL_CAP:
             raise ResourceError(
@@ -217,10 +227,10 @@ def _cmd_construct(args) -> int:
             _emit([member_to_dict(m) for m in members])
         else:
             for m in members:
-                print(f"E={m.value} subset={','.join(str(p) for p in m.subset)}")
+                print(_member_line(m))
     else:
         info = {
-            "D": str(base.value),
+            "D": int_to_decimal(base.value),
             "exponents": [[p, e] for p, e in base.exponents],
             "pi": pset.count,
         }
@@ -228,7 +238,7 @@ def _cmd_construct(args) -> int:
             _emit(info)
         else:
             expo = " ".join(f"{p}^{e}" for p, e in base.exponents)
-            print(f"D={base.value} ({expo}) pi={pset.count}")
+            print(f"D={info['D']} ({expo}) pi={pset.count}")
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ use exact integer comparisons; logarithms are informational only.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -135,18 +136,30 @@ def verify_family(
     return True
 
 
+def int_to_decimal(value: int) -> str:
+    """str(value) at any length (str() stops at 4 300 digits)."""
+    return str(decimal.Decimal(value))
+
+
+def int_from_decimal(value) -> int:
+    """int(value), but digit strings convert at any length (int() stops at 4 300 digits)."""
+    if isinstance(value, str) and value.isdecimal():
+        return int(decimal.Decimal(value))
+    return int(value)
+
+
 def member_to_dict(member: FamilyMember) -> dict:
     """JSON form with big integers as decimal strings."""
     return {
-        "D": str(member.base.value),
+        "D": int_to_decimal(member.base.value),
         "subset": [int(p) for p in member.subset],
-        "E": str(member.value),
+        "E": int_to_decimal(member.value),
     }
 
 
 def member_from_dict(data: dict, base: ConstructionBase, pset: ShiftedSmoothSet) -> FamilyMember:
     """Rebuild a member from its JSON form, checking the recorded products."""
     member = build_member(base, data["subset"], pset)
-    if str(member.base.value) != data["D"] or str(member.value) != data["E"]:
+    if int_to_decimal(member.base.value) != data["D"] or int_to_decimal(member.value) != data["E"]:
         raise DomainError("serialized member is inconsistent with its base and subset")
     return member

@@ -45,10 +45,18 @@ class NovakVerdict:
     witness: int | None = None
 
 
-def is_nc_criterion(n: int, table: FactorTable) -> NovakVerdict:
-    """Divisor criterion: every prime p | n must satisfy (p-1) | n."""
-    if n < 1 or n > table.limit:
-        raise DomainError(f"is_nc_criterion({n}) outside [1, {table.limit}]")
+def is_nc_criterion(n: int, table: FactorTable | None = None) -> NovakVerdict:
+    """Divisor criterion: every prime p | n must satisfy (p-1) | n.
+
+    On rejection the witness is the smallest prime p > 2 with p | n and
+    (p-1) not dividing n.  n is factored by the table when one is given
+    (n <= table.limit) and by trial division over the primes <= sqrt(n)
+    otherwise (n <= 2^40).  Verdict and witness do not depend on the
+    factor source: a table is optional and only speeds up many queries
+    below its limit.
+    """
+    if n < 1:
+        raise DomainError(f"is_nc_criterion needs n >= 1, got {n}")
     if n == 1:
         return NovakVerdict(n=1, is_nc=True)
     for p, _ in factorize(n, table).factors:
@@ -75,10 +83,10 @@ def is_nc_definition(n: int) -> NovakVerdict:
     return NovakVerdict(n=n, is_nc=True)
 
 
-def carmichael_lambda(n: int, table: FactorTable) -> int:
-    """Exponent of the multiplicative group mod n."""
-    if n < 1 or n > table.limit:
-        raise DomainError(f"carmichael_lambda({n}) outside [1, {table.limit}]")
+def carmichael_lambda(n: int, table: FactorTable | None = None) -> int:
+    """Exponent of the multiplicative group mod n; n is factored as in is_nc_criterion."""
+    if n < 1:
+        raise DomainError(f"carmichael_lambda needs n >= 1, got {n}")
     if n == 1:
         return 1
     parts = []

@@ -150,8 +150,9 @@ def build_factor_table(
         Inclusive upper bound, at least 2.
     memory_budget : int, optional
         Maximum bytes for the internal array (default 2 GiB).  A limit
-        whose table would not fit raises ResourceError; count_nc, list_nc
-        and the segmented sieve_primes need no factor table.
+        whose table would not fit raises ResourceError; count_nc, list_nc,
+        is_nc_criterion without a table (as in ``nc check``) and the
+        segmented sieve_primes need no factor table.
     """
     _check_limit(limit)
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
@@ -161,8 +162,9 @@ def build_factor_table(
     if needed > budget:
         raise ResourceError(
             f"factor table for limit {limit} needs {needed} bytes, over the "
-            f"{budget}-byte budget; raise the budget, or use count_nc, list_nc "
-            f"or the segmented sieve_primes, which need no table"
+            f"{budget}-byte budget; raise the budget, or use count_nc, list_nc, "
+            f"is_nc_criterion without a table (nc check) or the segmented "
+            f"sieve_primes, which need no table"
         )
     spf_odd = np.zeros(half, dtype=dtype)
     for p in range(3, math.isqrt(limit) + 1, 2):
@@ -183,8 +185,34 @@ def build_tables(limit: int, *, memory_budget: int | None = None) -> Tables:
     )
 
 
-def factorize(n: int, table: FactorTable) -> Factorization:
-    """Factor n by walking the spf chain.  Requires 2 <= n <= table.limit."""
+def factorize(n: int, table: FactorTable | None = None) -> Factorization:
+    """Factor n >= 2, by the spf chain of a table or by trial division.
+
+    With a table, n must lie in [2, table.limit].  Without one, n must lie
+    in [2, 2^40]: 2 is divided out, then every odd prime up to the square
+    root of the odd part m is tested at once, and what remains of m above 1
+    is a prime.  The work is that of sieving the primes up to sqrt(m).
+    """
+    if table is None:
+        if n < 2:
+            raise DomainError(f"factorize({n}) needs n >= 2")
+        _check_limit(n)
+        out = []
+        e = (n & -n).bit_length() - 1  # exponent of 2 in n
+        m = n >> e
+        if e:
+            out.append((2, e))
+        if m >= 9:
+            primes = sieve_primes(math.isqrt(m)).primes
+            for p in primes[m % primes == 0].tolist():
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                out.append((p, e))
+        if m > 1:
+            out.append((m, 1))
+        return Factorization(n=n, factors=tuple(out))
     if n < 2 or n > table.limit:
         raise DomainError(f"factorize({n}) outside table range [2, {table.limit}]")
     out = []

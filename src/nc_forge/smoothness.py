@@ -68,7 +68,10 @@ class YRule:
         if self.kind == "fixed":
             y = int(self.value)
         elif self.kind == "power":
-            y = round(z ** float(self.value))
+            try:
+                y = round(z ** float(self.value))
+            except OverflowError as exc:
+                raise DomainError(f"power rule u={self.value} overflows y at z={z}") from exc
         elif self.kind == "hild":
             y = round(math.exp(math.sqrt(math.log(z))))
         else:
@@ -244,7 +247,7 @@ def dickman_rho(u: float) -> float:
     underflows double precision and 0.0 is returned (logged).
     """
     u = float(u)
-    if u < 0:
+    if not u >= 0:  # nan too
         raise DomainError(f"dickman_rho needs u >= 0, got {u}")
     if u <= 1.0:
         return 1.0

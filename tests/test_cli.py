@@ -1,6 +1,14 @@
+import contextlib
+import decimal
+import io
 import json
+import math
+
+from hypothesis import given, settings, strategies as st
 
 from nc_forge.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, run
+from nc_forge.construction import build_base
+from nc_forge.sieve import sieve_primes
 
 
 def invoke(capsys, *argv):
@@ -29,6 +37,8 @@ def test_nc_check_true_json(capsys):
 def test_nc_check_plain(capsys):
     assert invoke(capsys, "nc", "check", "561")[1] == "false prime 3\n"
     assert invoke(capsys, "nc", "check", "8")[1] == "true\n"
+    # No factor table: n above the default table budget (about 1.07e9) is checked too.
+    assert invoke(capsys, "nc", "check", "10^12") == (EXIT_OK, "true\n", "")
 
 
 def test_nc_list_formats(capsys):
@@ -84,6 +94,19 @@ def test_construct_base_info(capsys):
     info = json.loads(out)
     assert info["D"] == "6350400"
     assert info["pi"] == 17
+
+
+def test_construct_prints_a_base_over_the_int_str_limit(capsys):
+    want = build_base(10**6, 20_000, sieve_primes(20_000)).value
+    for fmt in ("plain", "json"):
+        code, out, err = invoke(
+            capsys, "construct", "--r", "20000", "--s", "1000000", "--format", fmt
+        )
+        assert code == EXIT_OK
+        assert "Traceback" not in err
+        digits = json.loads(out)["D"] if fmt == "json" else out.split()[0].removeprefix("D=")
+        assert len(digits) > 4300
+        assert int(decimal.Decimal(digits)) == want
 
 
 def test_certify_and_verify_roundtrip(capsys, tmp_path):
@@ -150,7 +173,12 @@ def test_certify_usage_requires_schedule(capsys):
 def test_exit_codes(capsys):
     assert invoke(capsys, "nc", "check", "0")[0] == EXIT_DOMAIN
     assert invoke(capsys, "nc", "count", "--limit", "10^13")[0] == EXIT_RESOURCE
+    assert invoke(capsys, "nc", "check", "1099511627777")[0] == EXIT_RESOURCE
+    assert invoke(capsys, "nc", "check", "10^5000")[0] == EXIT_RESOURCE
+    assert invoke(capsys, "nc", "check", "10^-3")[0] == EXIT_DOMAIN
     assert invoke(capsys, "smooth", "rho", "--u", "-1")[0] == EXIT_DOMAIN
+    assert invoke(capsys, "smooth", "rho", "--u", "nan")[0] == EXIT_DOMAIN
+    assert invoke(capsys, "conjecture", "--z", "10^4", "--y-rule", "power:abc")[0] == EXIT_DOMAIN
     assert invoke(capsys, "nc", "count", "--bogus", "1")[0] == EXIT_DOMAIN
     assert invoke(capsys, "verify", "--cert", "/nonexistent.json")[0] == EXIT_DOMAIN
 
@@ -177,3 +205,34 @@ def test_output_is_deterministic(capsys):
     first = invoke(capsys, "conjecture", "--z", "1000,2000", "--y-rule", "hild", "--format", "csv")
     second = invoke(capsys, "conjecture", "--z", "1000,2000", "--y-rule", "hild", "--format", "csv")
     assert first == second
+
+
+_FUZZ_TEXT = st.one_of(
+    st.integers(min_value=-(10**15), max_value=10**15).map(str),
+    st.integers(min_value=0, max_value=1 << 41).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "10^12", "10^13", "10^-3", "10^5000", "1e40", "-0", ""]),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["nc check", "smooth rho", "conjecture"]),
+    prefix=st.sampled_from(["", "fixed:", "power:"]),
+    text=_FUZZ_TEXT,
+)
+def test_cli_fuzz_exits_with_a_documented_code(command, prefix, text):
+    if command == "nc check":
+        argv = ["nc", "check", text]
+    elif command == "smooth rho":
+        argv = ["smooth", "rho", "--u", text]
+    else:
+        argv = ["conjecture", "--z", "100", "--y-rule", prefix + text]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_RESOURCE, EXIT_MISMATCH)
+    assert "Traceback" not in err.getvalue()
+    if command == "smooth rho" and code == EXIT_OK:
+        assert not math.isnan(float(out.getvalue()))

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import chain, combinations
@@ -132,3 +133,13 @@ def test_member_json_roundtrip(tables_small):
     assert again.value == member.value
     with pytest.raises(DomainError):
         member_from_dict({"D": "72", "subset": [5, 7], "E": "9999"}, base, pset)
+
+
+def test_member_json_roundtrip_over_the_int_str_limit(tables_1e6):
+    base = build_base(10**6, 20_000, tables_1e6.primes)
+    pset = shifted_smooth_set(10**6, 20_000, tables_1e6.primes, tables_1e6.factors)
+    member = build_member(base, pset.members[-3:], pset)
+    data = member_to_dict(member)
+    assert len(data["D"]) > 4300 and len(data["E"]) > 4300
+    again = member_from_dict(json.loads(json.dumps(data)), base, pset)
+    assert again.value == member.value

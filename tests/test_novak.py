@@ -13,7 +13,7 @@ from nc_forge.novak import (
     is_nc_definition,
     list_nc,
 )
-from nc_forge.sieve import factorize
+from nc_forge.sieve import build_factor_table, factorize
 
 from oracles import group_exponent, nc_flags_sieve
 
@@ -21,6 +21,11 @@ from oracles import group_exponent, nc_flags_sieve
 @pytest.fixture(scope="module")
 def oracle_flags():
     return nc_flags_sieve(200_000)
+
+
+@pytest.fixture(scope="module")
+def table_2e6():
+    return build_factor_table(2 * 10**6)
 
 
 def test_criterion_examples(tables_small):
@@ -168,3 +173,34 @@ def test_witnesses_verify(tables_small, n):
     if not w.is_nc:
         assert math.gcd(w.witness, n) == 1
         assert pow(w.witness, n, n) != 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=2 * 10**6))
+@example(1)
+@example(2)
+@example(9)
+@example(561)
+@example(2 * 10**6)
+@example(1_999_993)  # prime
+@example(1413 * 1413)  # cofactor square just below sqrt(2e6)
+def test_table_free_criterion_matches_table(table_2e6, n):
+    assert is_nc_criterion(n) == is_nc_criterion(n, table_2e6)
+    assert carmichael_lambda(n) == carmichael_lambda(n, table_2e6)
+
+
+def test_table_free_criterion_pinned_points():
+    assert is_nc_criterion(10**12).is_nc
+    assert is_nc_criterion(1 << 40).is_nc
+    v = is_nc_criterion((1 << 40) - 1)
+    assert (v.is_nc, v.witness_kind, v.witness) == (False, "prime", 3)
+    assert carmichael_lambda(1 << 40) == 1 << 38
+
+
+def test_table_free_criterion_rejects_bad_arguments():
+    with pytest.raises(DomainError):
+        is_nc_criterion(0)
+    with pytest.raises(DomainError):
+        carmichael_lambda(0)
+    with pytest.raises(ResourceError, match="exceeds the supported ceiling 2\\^40"):
+        is_nc_criterion((1 << 40) + 1)

@@ -115,6 +115,11 @@ def test_factorize_rejects_out_of_range(tables_small):
     for bad in (0, 1, tables_small.factors.limit + 1):
         with pytest.raises(DomainError):
             factorize(bad, tables_small.factors)
+    for bad in (0, 1):
+        with pytest.raises(DomainError):
+            factorize(bad)
+    with pytest.raises(ResourceError):
+        factorize((1 << 40) + 1)
 
 
 def test_factorize_reconstructs_exhaustively_to_1e6(tables_1e6):
@@ -142,6 +147,7 @@ def test_factorize_reconstructs_exhaustively_to_1e6(tables_1e6):
 @given(st.integers(min_value=2, max_value=10_000))
 def test_factorize_matches_trial_division(tables_small, n):
     assert list(factorize(n, tables_small.factors).factors) == trial_factorize(n)
+    assert list(factorize(n).factors) == trial_factorize(n)
 
 
 @settings(max_examples=100, deadline=None)
