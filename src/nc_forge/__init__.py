@@ -19,10 +19,10 @@ from .construction import (
     ConstructionBase,
     FamilyMember,
     build_base,
+    build_family,
     build_member,
     member_from_dict,
     member_to_dict,
-    shifted_part_divides_base,
     verify_family,
 )
 from .errors import DomainError, ResourceError

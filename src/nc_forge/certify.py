@@ -5,7 +5,9 @@ P(s, r) with cardinality pi, the base D(s, r), and a subset size A, and
 records that D times the product of the A largest members of P(s, r) stays
 at or below the threshold x (exact big-integer comparison, boundary E = x
 included).  Every size-A subset then yields a distinct member <= x, so
-binomial(pi, A) is a proven lower bound for the count up to x.
+binomial(pi, A) is a proven lower bound for the count up to x.  D and
+P(s, r) come from construction.build_family; enumeration checks at most
+ENUMERATION_CAP members with construction.member_passes_criterion.
 
 A is the exact maximum of a with D * s^a <= x, capped at pi.  Floating
 point only proposes the starting point; integer comparisons settle it.
@@ -22,15 +24,13 @@ from itertools import combinations
 from typing import Sequence
 
 from .construction import (
-    build_base,
+    build_family,
     build_member,
     int_from_decimal,
     int_to_decimal,
-    shifted_part_divides_base,
+    member_passes_criterion,
 )
 from .errors import DomainError, ResourceError
-from .sieve import Tables, build_tables
-from .smoothness import shifted_smooth_set
 
 binomial = math.comb
 
@@ -40,6 +40,7 @@ SCHEDULE_MANUAL = "manual"
 
 GUARD_DIGITS = 30
 MAX_NOTATION_EXPONENT = 10**6
+ENUMERATION_CAP = 100_000  # members enumerate_certificate rebuilds at most
 
 CERT_FIELDS = (
     "x",
@@ -261,14 +262,13 @@ def _zero_certificate(
 
 def certify_lower_bound(
     sched: Schedule,
-    tables: Tables | None = None,
     *,
     memory_budget: int | None = None,
 ) -> LowerBoundCertificate:
     """Produce a lower-bound certificate for the schedule's threshold.
 
-    Infeasible schedules yield an explanatory zero-certificate; exceeding
-    table limits raises ResourceError.
+    Infeasible schedules yield an explanatory zero-certificate; tables up
+    to s beyond the 2^40 ceiling or over memory_budget raise ResourceError.
     """
     x = sched.x
     r, s, feasible = schedule_params(sched)
@@ -276,12 +276,7 @@ def certify_lower_bound(
         return _zero_certificate(
             x, r, s, reason=f"infeasible schedule: need 2 <= r <= s, got r={r}, s={s}"
         )
-    if tables is None:
-        tables = build_tables(s, memory_budget=memory_budget)
-    elif tables.limit < s:
-        raise ResourceError(f"tables with limit {tables.limit} do not cover s={s}")
-    pset = shifted_smooth_set(s, r, tables.primes, tables.factors)
-    base = build_base(s, r, tables.primes)
+    base, pset = build_family(s, r, memory_budget=memory_budget)
     if base.value > x.value:
         return _zero_certificate(
             x,
@@ -391,36 +386,28 @@ class EnumerationReport:
 
 def enumerate_certificate(
     cert: LowerBoundCertificate | dict,
-    tables: Tables | None = None,
     *,
-    cap: int = 100_000,
     memory_budget: int | None = None,
 ) -> EnumerationReport:
     """Rebuild all binomial(pi, A) members and check the certified properties.
 
     Each member must be distinct, at most x, and pass the divisor criterion
-    through its known factor structure.  Raises ResourceError when the
-    member count exceeds cap.
+    through its known factor structure (member_passes_criterion).  Raises
+    ResourceError when the member count exceeds ENUMERATION_CAP.
     """
     if isinstance(cert, dict):
         cert = LowerBoundCertificate.from_dict(cert)
     if cert.count == 0:
         return EnumerationReport(0, True, True, True, True)
-    if cert.count > cap:
+    if cert.count > ENUMERATION_CAP:
         raise ResourceError(
-            f"binomial({cert.pi}, {cert.A}) members exceed the enumeration cap {cap}"
+            f"binomial({cert.pi}, {cert.A}) members exceed the enumeration cap {ENUMERATION_CAP}"
         )
     x = parse_threshold(cert.x)
-    if tables is None:
-        tables = build_tables(cert.s, memory_budget=memory_budget)
-    pset = shifted_smooth_set(cert.s, cert.r, tables.primes, tables.factors)
-    base = build_base(cert.s, cert.r, tables.primes)
+    base, pset = build_family(cert.s, cert.r, memory_budget=memory_budget)
     total = binomial(pset.count, cert.A)
 
-    shift_ok = {
-        q: shifted_part_divides_base(q, base)
-        for q in sorted({p for p, _ in base.exponents} | set(pset.members))
-    }
+    divides_base: dict[int, bool] = {}
     seen = set()
     all_at_most_x = True
     all_valid = True
@@ -429,10 +416,7 @@ def enumerate_certificate(
         seen.add(member.value)
         if member.value > x.value:
             all_at_most_x = False
-        for q in set(subset) | {p for p, _ in base.exponents}:
-            if not shift_ok[q] or (q > 2 and member.value % (q - 1) != 0):
-                all_valid = False
-                break
+        all_valid = all_valid and member_passes_criterion(member, divides_base)
     return EnumerationReport(
         members=total,
         count_matches=total == cert.count,
@@ -464,8 +448,6 @@ def exponent_report(
     u: float | None = None,
     r: int | None = None,
     s: int | None = None,
-    tables: Tables | None = None,
-    memory_budget: int | None = None,
 ) -> list[ExponentRow]:
     """Certify each x and report the realized exponent.
 
@@ -487,7 +469,7 @@ def exponent_report(
             sched = Schedule.manual(x, r, s)
         else:
             raise DomainError(f"unknown schedule kind {kind!r}")
-        cert = certify_lower_bound(sched, tables, memory_budget=memory_budget)
+        cert = certify_lower_bound(sched)
         feasible = cert.infeasible_reason is None
         exponent = None
         target = None

@@ -19,7 +19,7 @@ from .certify import (
     parse_threshold,
     verify_certificate,
 )
-from .construction import build_base, build_member, int_to_decimal, member_to_dict
+from .construction import build_family, build_member, int_to_decimal, member_to_dict
 from .errors import DomainError, ResourceError
 from .novak import count_nc, is_nc_criterion, list_nc
 from .sieve import build_factor_table, build_tables
@@ -31,7 +31,6 @@ from .smoothness import (
     psi_count,
     rows_to_csv,
     rows_to_json,
-    shifted_smooth_set,
 )
 
 EXIT_OK = 0
@@ -204,9 +203,7 @@ def _member_line(member) -> str:
 
 def _cmd_construct(args) -> int:
     r, s = parse_natural(args.r), parse_natural(args.s)
-    tables = build_tables(max(s, 2), memory_budget=args.limit_memory)
-    base = build_base(s, r, tables.primes)
-    pset = shifted_smooth_set(s, r, tables.primes, tables.factors)
+    base, pset = build_family(s, r, memory_budget=args.limit_memory)
     if args.subset is not None:
         subset = [parse_natural(p) for p in args.subset.split(",") if p]
         member = build_member(base, subset, pset)

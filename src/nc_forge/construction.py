@@ -5,18 +5,21 @@ not exceeding s.  Multiplying D by any subset of the shifted-smooth prime set
 P(s, r) yields a Novak-Carmichael number: every prime q of the product has
 q - 1 composed of prime powers that already divide D.  All exponent decisions
 use exact integer comparisons; logarithms are informational only.
+build_family sets up D and P(s, r) for certificates, their enumeration and
+``nc-forge construct``; member_passes_criterion is the one member check.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainError
-from .smoothness import ShiftedSmoothSet
-from .sieve import PrimeTable
+from .errors import DomainError, show_int
+from .smoothness import ShiftedSmoothSet, shifted_smooth_set
+from .sieve import PrimeTable, build_tables
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,7 @@ def build_base(s: int, r: int, primes: PrimeTable) -> ConstructionBase:
     never by floating-point logarithms.
     """
     if r < 2 or r > s:
-        raise DomainError(f"need 2 <= r <= s, got r={r}, s={s}")
+        raise DomainError(f"need 2 <= r <= s, got r={show_int(r)}, s={show_int(s)}")
     if primes.limit < r:
         raise DomainError(f"prime table limit {primes.limit} does not cover r={r}")
     exponents = []
@@ -64,6 +67,22 @@ def build_base(s: int, r: int, primes: PrimeTable) -> ConstructionBase:
     return ConstructionBase(s=s, r=r, exponents=tuple(exponents), value=value, log_value=log_value)
 
 
+def build_family(
+    s: int,
+    r: int,
+    *,
+    memory_budget: int | None = None,
+) -> tuple[ConstructionBase, ShiftedSmoothSet]:
+    """D(s, r) and P(s, r), from tables up to max(s, 2).
+
+    The tables come first, so a limit or budget refusal (ResourceError)
+    precedes build_base's check of 2 <= r <= s (DomainError).
+    """
+    tables = build_tables(max(s, 2), memory_budget=memory_budget)
+    base = build_base(s, r, tables.primes)
+    return base, shifted_smooth_set(s, r, tables.primes, tables.factors)
+
+
 def build_member(
     base: ConstructionBase,
     subset: Iterable[int],
@@ -76,36 +95,29 @@ def build_member(
             f"was computed for (x={pset.x}, y={pset.y})"
         )
     chosen = tuple(sorted({int(p) for p in subset}))
-    allowed = set(pset.members)
-    for p in chosen:
-        if p not in allowed:
-            raise DomainError(f"prime {p} is not in the shifted-smooth set")
     value = base.value
     for p in chosen:
+        i = bisect_left(pset.members, p)  # members ascend
+        if i == len(pset.members) or pset.members[i] != p:
+            raise DomainError(f"prime {p} is not in the shifted-smooth set")
         value *= p
     return FamilyMember(base=base, subset=chosen, value=value)
 
 
-def shifted_part_divides_base(q: int, base: ConstructionBase) -> bool:
-    """Check q - 1 | D by factoring q - 1 over the base primes.
+def member_passes_criterion(member: FamilyMember, divides_base: dict[int, bool]) -> bool:
+    """Divisor criterion for E through its known primes: the base primes and the subset.
 
-    Each prime power of q - 1 must be at most the corresponding base
-    exponent; any leftover cofactor means a prime above r and fails.
+    Each such q needs (q - 1) | D and, as a big-integer backup of that
+    bookkeeping, (q - 1) | E.  divides_base memoises (q - 1) | D across the
+    members of one family; pass the same dict for every member of a base.
     """
-    if q == 2:
-        return True
-    m = q - 1
-    for p, e in base.exponents:
-        if m % p == 0:
-            b = 0
-            while m % p == 0:
-                m //= p
-                b += 1
-            if b > e:
-                return False
-        if m == 1:
-            break
-    return m == 1
+    for q in [p for p, _ in member.base.exponents] + list(member.subset):
+        ok = divides_base.get(q)
+        if ok is None:
+            ok = divides_base[q] = member.base.value % (q - 1) == 0
+        if not ok or member.value % (q - 1) != 0:
+            return False
+    return True
 
 
 def verify_family(
@@ -113,27 +125,16 @@ def verify_family(
     pset: ShiftedSmoothSet,
     subsets: Iterable[Sequence[int]],
 ) -> bool:
-    """True iff every sampled member satisfies the divisor criterion.
+    """True iff every sampled member passes member_passes_criterion.
 
-    The criterion is re-derived from the known factor structure (the primes
-    of E are exactly the base primes plus the subset), so no factor table
-    covering the huge member values is needed.  A direct big-integer
-    divisibility check backs up the bookkeeping.
+    The primes of E are exactly the base primes plus the subset, so no
+    factor table covering the huge member values is needed.
     """
-    cache: dict[int, bool] = {}
-    base_primes = [p for p, _ in base.exponents]
-    for subset in subsets:
-        member = build_member(base, subset, pset)
-        for q in sorted(set(base_primes) | set(member.subset)):
-            ok = cache.get(q)
-            if ok is None:
-                ok = shifted_part_divides_base(q, base)
-                cache[q] = ok
-            if not ok:
-                return False
-            if q > 2 and member.value % (q - 1) != 0:
-                return False
-    return True
+    divides_base: dict[int, bool] = {}
+    return all(
+        member_passes_criterion(build_member(base, subset, pset), divides_base)
+        for subset in subsets
+    )
 
 
 def int_to_decimal(value: int) -> str:

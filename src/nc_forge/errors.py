@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how messages show numbers."""
+
+import decimal
 
 
 class DomainError(ValueError):
@@ -7,3 +9,9 @@ class DomainError(ValueError):
 
 class ResourceError(RuntimeError):
     """A request would exceed a configured memory or size budget."""
+
+
+def show_int(n: int) -> str:
+    """n in decimal, or 'a k-digit number' when n has more than 30 digits."""
+    digits = decimal.Decimal(abs(n)).adjusted() + 1
+    return str(n) if digits <= 30 else f"a {digits}-digit number"

@@ -24,7 +24,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, show_int
 from .sieve import MAX_LIMIT, FactorTable, factorize, sieve_primes
 from .smoothness import count_smooth
 
@@ -131,12 +131,16 @@ def _smooth_numbers(y: int, primes: list[int]) -> list[int]:
     return out
 
 
+def _check_x(name: str, x: int) -> None:
+    if x < 1:
+        raise DomainError(f"{name} needs x >= 1, got {show_int(x)}")
+    if x > MAX_LIMIT:
+        raise ResourceError(f"x={show_int(x)} exceeds the supported ceiling 2^40")
+
+
 def count_nc(x: int) -> int:
     """Exact count of Novak-Carmichael numbers <= x (n = 1 included)."""
-    if x < 1:
-        raise DomainError(f"count_nc needs x >= 1, got {x}")
-    if x > MAX_LIMIT:
-        raise ResourceError(f"x={x} exceeds the supported ceiling 2^40")
+    _check_x("count_nc", x)
     if x == 1:
         return 1
     return 1 + sum(count_smooth(x // m, s) for s, m in _closed_sets(x))
@@ -144,10 +148,7 @@ def count_nc(x: int) -> int:
 
 def list_nc(x: int) -> list[int]:
     """Ordered members <= x; length equals count_nc(x)."""
-    if x < 1:
-        raise DomainError(f"list_nc needs x >= 1, got {x}")
-    if x > MAX_LIMIT:
-        raise ResourceError(f"x={x} exceeds the supported ceiling 2^40")
+    _check_x("list_nc", x)
     if x == 1:
         return [1]
     return [1] + sorted(m * k for s, m in _closed_sets(x) for k in _smooth_numbers(x // m, s))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, show_int
 
 SEGMENT_SIZE = 1 << 20  # flags per segment of the sieve above sqrt(limit)
 MAX_LIMIT = 1 << 40
@@ -23,9 +23,9 @@ DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes allowed for one factor table
 
 def _check_limit(limit: int) -> None:
     if limit < 2:
-        raise DomainError(f"limit must be at least 2, got {limit}")
+        raise DomainError(f"limit must be at least 2, got {show_int(limit)}")
     if limit > MAX_LIMIT:
-        raise ResourceError(f"limit {limit} exceeds the supported ceiling 2^40")
+        raise ResourceError(f"limit {show_int(limit)} exceeds the supported ceiling 2^40")
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +137,23 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes, count=len(primes))
 
 
+def _factor_table_dtype(limit: int, memory_budget: int | None) -> type:
+    """The factor table's dtype for limit; ResourceError when the table exceeds the budget."""
+    _check_limit(limit)
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    half = (limit + 1) // 2  # slots for n = 1, 3, 5, ..., <= limit
+    dtype = np.uint32 if limit < 2**32 else np.uint64
+    needed = half * np.dtype(dtype).itemsize
+    if needed > budget:
+        raise ResourceError(
+            f"factor table for limit {limit} needs {needed} bytes, over the "
+            f"{budget}-byte budget; raise the budget, or use count_nc, list_nc, "
+            f"is_nc_criterion without a table (nc check) or the segmented "
+            f"sieve_primes, which need no table"
+        )
+    return dtype
+
+
 def build_factor_table(
     limit: int,
     *,
@@ -154,19 +171,7 @@ def build_factor_table(
         is_nc_criterion without a table (as in ``nc check``) and the
         segmented sieve_primes need no factor table.
     """
-    _check_limit(limit)
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    half = (limit + 1) // 2  # slots for n = 1, 3, 5, ..., <= limit
-    dtype = np.uint32 if limit < 2**32 else np.uint64
-    needed = half * np.dtype(dtype).itemsize
-    if needed > budget:
-        raise ResourceError(
-            f"factor table for limit {limit} needs {needed} bytes, over the "
-            f"{budget}-byte budget; raise the budget, or use count_nc, list_nc, "
-            f"is_nc_criterion without a table (nc check) or the segmented "
-            f"sieve_primes, which need no table"
-        )
-    spf_odd = np.zeros(half, dtype=dtype)
+    spf_odd = np.zeros((limit + 1) // 2, dtype=_factor_table_dtype(limit, memory_budget))
     for p in range(3, math.isqrt(limit) + 1, 2):
         if spf_odd[p >> 1] == 0:
             view = spf_odd[(p * p) >> 1 :: p]
@@ -178,7 +183,8 @@ def build_factor_table(
 
 
 def build_tables(limit: int, *, memory_budget: int | None = None) -> Tables:
-    """Convenience constructor for a matched PrimeTable/FactorTable pair."""
+    """A matched PrimeTable/FactorTable pair; the budget is checked before any sieve."""
+    _factor_table_dtype(limit, memory_budget)
     return Tables(
         primes=sieve_primes(limit),
         factors=build_factor_table(limit, memory_budget=memory_budget),

@@ -74,6 +74,21 @@ def nc_flags_sieve(x):
     return flags
 
 
+def criterion_over(n, primes):
+    """Divisor criterion for n by trial division over primes: (p-1) | n for each prime p | n.
+
+    Also False when primes do not account for every prime factor of n.
+    """
+    m = n
+    for p in primes:
+        if m % p == 0:
+            if n % (p - 1):
+                return False
+            while m % p == 0:
+                m //= p
+    return m == 1
+
+
 def pascal_binomial(n, k):
     if k < 0 or k > n:
         return 0

@@ -5,7 +5,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nc_forge import certify
 from nc_forge.certify import (
+    ENUMERATION_CAP,
     LowerBoundCertificate,
     Schedule,
     binomial,
@@ -17,7 +19,9 @@ from nc_forge.certify import (
     schedule_params,
     verify_certificate,
 )
+from nc_forge.construction import build_family
 from nc_forge.errors import DomainError, ResourceError
+from nc_forge.smoothness import ShiftedSmoothSet
 
 from oracles import pascal_binomial
 
@@ -152,16 +156,6 @@ def test_base_above_x_yields_zero_certificate():
     assert "exceeds" in cert.infeasible_reason
 
 
-def test_certify_rejects_undersized_tables(tables_small):
-    with pytest.raises(ResourceError):
-        certify_lower_bound(Schedule.manual("10^30", 10, 20_000), tables_small)
-
-
-def test_certify_accepts_covering_tables(tables_small):
-    cert = certify_lower_bound(Schedule.manual("10^30", 10, 100), tables_small)
-    assert cert.count == 12376
-
-
 def test_formula_certificates_verify():
     for cert in (
         certify_lower_bound(Schedule.t1(parse_threshold("e^10000"), 0.5)),
@@ -250,9 +244,20 @@ def test_enumeration_of_boundary_certificate():
 
 
 def test_enumeration_respects_cap():
-    cert = certify_lower_bound(Schedule.manual("10^30", 10, 100))
-    with pytest.raises(ResourceError):
-        enumerate_certificate(cert, cap=100)
+    cert = certify_lower_bound(Schedule.manual("10^50", 10, 300))
+    assert cert.count > ENUMERATION_CAP == 100_000
+    with pytest.raises(ResourceError, match="cap 100000"):
+        enumerate_certificate(cert)
+
+
+def test_enumeration_flags_a_member_that_fails_the_criterion(monkeypatch):
+    cert = certify_lower_bound(Schedule.manual(6350400 * 100, 10, 100))
+    assert cert.A == 1 and enumerate_certificate(cert).ok
+    base, pset = build_family(100, 10)
+    members = tuple(sorted(pset.members + (23,)))  # 22 = 23 - 1 does not divide D
+    forged = ShiftedSmoothSet(x=100, y=10, members=members, count=len(members))
+    monkeypatch.setattr(certify, "build_family", lambda s, r, memory_budget=None: (base, forged))
+    assert not enumerate_certificate(cert).all_criterion_valid
 
 
 def test_enumeration_of_zero_certificate_is_trivially_ok():

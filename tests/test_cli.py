@@ -183,6 +183,18 @@ def test_exit_codes(capsys):
     assert invoke(capsys, "verify", "--cert", "/nonexistent.json")[0] == EXIT_DOMAIN
 
 
+def test_errors_show_long_numbers_by_their_digit_count(capsys):
+    for argv, want in (
+        (["nc", "check", "10^4000"], EXIT_RESOURCE),
+        (["nc", "count", "--limit", "10^4000"], EXIT_RESOURCE),
+        (["smooth", "pi", "--x", "10^4000", "--y", "5"], EXIT_RESOURCE),
+        (["construct", "--r", "10^4000", "--s", "100"], EXIT_DOMAIN),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (want, "")
+        assert len(err) < 200 and "4001-digit number" in err
+
+
 def test_verify_rejects_json_number_over_the_digit_limit(capsys, tmp_path):
     path = tmp_path / "cert.json"
     path.write_text('{"count": ' + "9" * 5000 + "}")
@@ -216,19 +228,26 @@ _FUZZ_TEXT = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    command=st.sampled_from(["nc check", "smooth rho", "conjecture"]),
+    command=st.sampled_from(["nc check", "smooth rho", "conjecture", "construct", "certify"]),
     prefix=st.sampled_from(["", "fixed:", "power:"]),
+    fixed=st.sampled_from([["--s", "100"], ["--r", "3"], ["--r", "10"]]),
     text=_FUZZ_TEXT,
 )
-def test_cli_fuzz_exits_with_a_documented_code(command, prefix, text):
+def test_cli_fuzz_exits_with_a_documented_code(command, prefix, fixed, text):
     if command == "nc check":
         argv = ["nc", "check", text]
     elif command == "smooth rho":
         argv = ["smooth", "rho", "--u", text]
-    else:
+    elif command == "conjecture":
         argv = ["conjecture", "--z", "100", "--y-rule", prefix + text]
+    else:  # one of --r/--s fuzzed, the other fixed
+        fuzzed = "--r" if fixed[0] == "--s" else "--s"
+        argv = [command, *fixed, fuzzed, text]
+        if command == "certify":
+            argv += ["--x", "10^30"]
+    argv += ["--limit-memory", "10^7"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)

@@ -8,14 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from nc_forge.construction import (
     build_base,
+    build_family,
     build_member,
     member_from_dict,
     member_to_dict,
-    shifted_part_divides_base,
     verify_family,
 )
-from nc_forge.errors import DomainError
-from nc_forge.smoothness import shifted_smooth_set
+from nc_forge.errors import DomainError, ResourceError
+from nc_forge.smoothness import ShiftedSmoothSet, shifted_smooth_set
+
+from oracles import criterion_over, trial_primes
 
 
 def all_subsets(members):
@@ -69,8 +71,9 @@ def test_member_examples(tables_small):
 def test_member_rejects_foreign_primes(tables_small):
     base = build_base(10, 3, tables_small.primes)
     pset = shifted_smooth_set(10, 3, tables_small.primes, tables_small.factors)
-    with pytest.raises(DomainError):
-        build_member(base, {11}, pset)
+    for foreign in ({11}, {4}, {5, 6}, {1}):  # above, between and below the members (2, 3, 5, 7)
+        with pytest.raises(DomainError):
+            build_member(base, foreign, pset)
 
 
 def test_member_rejects_mismatched_set(tables_small):
@@ -116,11 +119,52 @@ def test_base_primes_lie_in_the_smooth_set(tables_small):
     assert {p for p, _ in base.exponents} <= set(pset.members)
 
 
-def test_shifted_part_check_matches_direct_division(tables_small):
+def with_foreign_prime(pset, q):
+    """pset with q added, as a set that was not computed by shifted_smooth_set."""
+    members = tuple(sorted(pset.members + (q,)))
+    return ShiftedSmoothSet(x=pset.x, y=pset.y, members=members, count=len(members))
+
+
+def test_member_check_needs_each_shift_to_divide_the_base(tables_small):
     base = build_base(100, 10, tables_small.primes)
     pset = shifted_smooth_set(100, 10, tables_small.primes, tables_small.factors)
-    for q in pset.members:
-        assert shifted_part_divides_base(q, base) == (base.value % max(q - 1, 1) == 0)
+    forged = with_foreign_prime(pset, 23)
+    assert verify_family(base, forged, [(), (11,)])
+    assert not verify_family(base, forged, [(23,)])
+    # E = D * 11 * 23 passes the divisor criterion, but 22 = 23 - 1 does not divide D
+    e = build_member(base, (11, 23), forged).value
+    assert criterion_over(e, trial_primes(100))
+    assert base.value % 22 != 0
+    assert not verify_family(base, forged, [(11, 23)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.integers(min_value=2, max_value=400),
+    r=st.integers(min_value=2, max_value=400),
+    data=st.data(),
+)
+def test_family_members_pass_an_independent_criterion(tables_small, s, r, data):
+    if r > s:
+        r, s = s, r
+    base = build_base(s, r, tables_small.primes)
+    pset = shifted_smooth_set(s, r, tables_small.primes, tables_small.factors)
+    subset = st.lists(st.sampled_from(pset.members), max_size=6, unique=True)
+    subsets = data.draw(st.lists(subset, min_size=1, max_size=5))
+    assert verify_family(base, pset, subsets)
+    primes = trial_primes(s)
+    for sub in subsets:
+        assert criterion_over(build_member(base, sub, pset).value, primes)
+
+
+def test_build_family_matches_its_parts(tables_small):
+    base, pset = build_family(100, 10)
+    assert base == build_base(100, 10, tables_small.primes)
+    assert pset == shifted_smooth_set(100, 10, tables_small.primes, tables_small.factors)
+    with pytest.raises(DomainError, match="need 2 <= r <= s"):
+        build_family(1, 5)
+    with pytest.raises(ResourceError):
+        build_family(10**8, 5, memory_budget=1000)
 
 
 def test_member_json_roundtrip(tables_small):

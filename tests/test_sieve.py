@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nc_forge.errors import DomainError, ResourceError
+from nc_forge import sieve
 from nc_forge.sieve import (
     _sieve_monolithic,
     _sieve_segmented,
     build_factor_table,
+    build_tables,
     factorize,
     sieve_primes,
 )
@@ -96,6 +98,15 @@ def test_factor_table_rejects_bad_limits():
         build_factor_table(1)
     with pytest.raises(ResourceError):
         build_factor_table((1 << 40) + 1)
+
+
+def test_build_tables_checks_the_budget_before_sieving(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"sieved to {limit} before the budget check")
+
+    monkeypatch.setattr(sieve, "sieve_primes", refuse)
+    with pytest.raises(ResourceError):
+        build_tables(10**8, memory_budget=1000)
 
 
 def test_factor_table_memory_budget_points_at_segmented_mode():
