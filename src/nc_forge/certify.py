@@ -6,8 +6,9 @@ records that D times the product of the A largest members of P(s, r) stays
 at or below the threshold x (exact big-integer comparison, boundary E = x
 included).  Every size-A subset then yields a distinct member <= x, so
 binomial(pi, A) is a proven lower bound for the count up to x.  D and
-P(s, r) come from construction.build_family; enumeration checks at most
-ENUMERATION_CAP members with construction.member_passes_criterion.
+P(s, r) come from construction.build_family; enumeration walks at most
+ENUMERATION_CAP members with construction.family_products and checks each
+with construction.member_passes_criterion.
 
 A is the exact maximum of a with D * s^a <= x, capped at pi.  Floating
 point only proposes the starting point; integer comparisons settle it.
@@ -17,15 +18,15 @@ zero-certificate rather than an error.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .construction import (
     build_family,
-    build_member,
+    family_products,
     int_from_decimal,
     int_to_decimal,
     member_passes_criterion,
@@ -40,7 +41,7 @@ SCHEDULE_MANUAL = "manual"
 
 GUARD_DIGITS = 30
 MAX_NOTATION_EXPONENT = 10**6
-ENUMERATION_CAP = 100_000  # members enumerate_certificate rebuilds at most
+ENUMERATION_CAP = 100_000  # members enumerate_certificate walks at most
 
 CERT_FIELDS = (
     "x",
@@ -94,18 +95,27 @@ def parse_threshold(notation: str | int) -> Threshold:
         k = float(m.group(1))
         if k > MAX_NOTATION_EXPONENT:
             raise ResourceError(f"e^{m.group(1)} is beyond the supported notation range")
-        digits = int(k / math.log(10.0)) + GUARD_DIGITS
-        import mpmath  # only e^k needs it; importing it costs every CLI start
-
-        with mpmath.workdps(digits + 10):
-            value = int(mpmath.floor(mpmath.exp(mpmath.mpf(m.group(1)))))
-        return Threshold(text=text, value=value, log=k)
+        return Threshold(text=text, value=_floor_exp(m.group(1)), log=k)
     if text.isdecimal():
         value = int_from_decimal(text)
         if value < 1:
             raise DomainError("x must be positive")
         return Threshold(text=text, value=value, log=math.log(value))
     raise DomainError(f"cannot parse threshold {notation!r}; use digits, 10^k, or e^k")
+
+
+@functools.lru_cache(maxsize=4)
+def _floor_exp(k_text: str) -> int:
+    """floor(e^k) for the exponent text k, with GUARD_DIGITS guard digits.
+
+    Memoised: a certificate's x is parsed again by verify_certificate and
+    enumerate_certificate, and mpmath takes 0.06 s at e^100000.
+    """
+    digits = int(float(k_text) / math.log(10.0)) + GUARD_DIGITS
+    import mpmath  # only e^k needs it; importing it costs every CLI start
+
+    with mpmath.workdps(digits + 10):
+        return int(mpmath.floor(mpmath.exp(mpmath.mpf(k_text))))
 
 
 @dataclass(frozen=True)
@@ -371,7 +381,11 @@ def check_binomial_floor(a_max: int) -> bool:
 
 @dataclass(frozen=True)
 class EnumerationReport:
-    """Outcome of exhaustively rebuilding every size-A member of a certificate."""
+    """Outcome of walking every size-A member of a certificate.
+
+    members is the number of members walked; count_matches compares it with
+    the certified count and distinct with the number of distinct values.
+    """
 
     members: int
     count_matches: bool
@@ -389,11 +403,12 @@ def enumerate_certificate(
     *,
     memory_budget: int | None = None,
 ) -> EnumerationReport:
-    """Rebuild all binomial(pi, A) members and check the certified properties.
+    """Walk all binomial(pi, A) members and check the certified properties.
 
-    Each member must be distinct, at most x, and pass the divisor criterion
-    through its known factor structure (member_passes_criterion).  Raises
-    ResourceError when the member count exceeds ENUMERATION_CAP.
+    The walk (family_products) must visit cert.count members, each distinct,
+    at most x, and passing the divisor criterion through its known factor
+    structure (member_passes_criterion).  Raises ResourceError when the
+    member count exceeds ENUMERATION_CAP.
     """
     if isinstance(cert, dict):
         cert = LowerBoundCertificate.from_dict(cert)
@@ -405,22 +420,25 @@ def enumerate_certificate(
         )
     x = parse_threshold(cert.x)
     base, pset = build_family(cert.s, cert.r, memory_budget=memory_budget)
-    total = binomial(pset.count, cert.A)
 
+    base_primes = tuple(p for p, _ in base.exponents)
     divides_base: dict[int, bool] = {}
     seen = set()
+    walked = 0
     all_at_most_x = True
     all_valid = True
-    for subset in combinations(pset.members, cert.A):
-        member = build_member(base, subset, pset)
-        seen.add(member.value)
-        if member.value > x.value:
+    for subset, value in family_products(base.value, pset.members, cert.A):
+        walked += 1
+        seen.add(value)
+        if value > x.value:
             all_at_most_x = False
-        all_valid = all_valid and member_passes_criterion(member, divides_base)
+        all_valid = all_valid and member_passes_criterion(
+            base, value, base_primes + subset, divides_base
+        )
     return EnumerationReport(
-        members=total,
-        count_matches=total == cert.count,
-        distinct=len(seen) == total,
+        members=walked,
+        count_matches=walked == cert.count,
+        distinct=len(seen) == walked,
         all_at_most_x=all_at_most_x,
         all_criterion_valid=all_valid,
     )

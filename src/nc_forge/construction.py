@@ -6,7 +6,8 @@ P(s, r) yields a Novak-Carmichael number: every prime q of the product has
 q - 1 composed of prime powers that already divide D.  All exponent decisions
 use exact integer comparisons; logarithms are informational only.
 build_family sets up D and P(s, r) for certificates, their enumeration and
-``nc-forge construct``; member_passes_criterion is the one member check.
+``nc-forge construct``; family_products walks every size-A member by prefix
+products; member_passes_criterion is the one member check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import decimal
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, show_int
 from .smoothness import ShiftedSmoothSet, shifted_smooth_set
@@ -104,18 +105,62 @@ def build_member(
     return FamilyMember(base=base, subset=chosen, value=value)
 
 
-def member_passes_criterion(member: FamilyMember, divides_base: dict[int, bool]) -> bool:
-    """Divisor criterion for E through its known primes: the base primes and the subset.
+def family_products(
+    base_value: int, members: Sequence[int], a: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (subset, D * prod(subset)) for every size-a subset of members.
+
+    Subsets come in itertools.combinations order.  prefix[j] is D times the
+    first j chosen primes, so each member costs one multiply, prefix[-1] * p;
+    prefix[j] is rebuilt only when one of the first j positions advances.
+    """
+    n = len(members)
+    if not 0 <= a <= n:
+        return
+    if a == 0:
+        yield (), base_value
+        return
+    head = list(range(a - 1))  # positions of all chosen primes but the last
+    prefix = [base_value]
+    moved = 0  # first head position whose prefix is stale
+    while True:
+        del prefix[moved + 1 :]
+        for j in range(moved, a - 1):
+            prefix.append(prefix[j] * members[head[j]])
+        # A list, not tuple(genexpr): that tuple is resized into a fresh block
+        # and freed onto the tuple free list, where the blocks pile up among
+        # the members' ints and keep their memory pools from being freed.
+        chosen = [members[j] for j in head]
+        last = prefix[-1]
+        for p in members[head[-1] + 1 if head else 0 :]:
+            yield (*chosen, p), last * p
+        for moved in reversed(range(a - 1)):
+            if head[moved] < moved + n - a:
+                break
+        else:
+            return
+        head[moved] += 1
+        for j in range(moved + 1, a - 1):
+            head[j] = head[j - 1] + 1
+
+
+def member_passes_criterion(
+    base: ConstructionBase,
+    value: int,
+    primes: Iterable[int],
+    divides_base: dict[int, bool],
+) -> bool:
+    """Divisor criterion for E = value through its primes: the base primes and the subset.
 
     Each such q needs (q - 1) | D and, as a big-integer backup of that
     bookkeeping, (q - 1) | E.  divides_base memoises (q - 1) | D across the
     members of one family; pass the same dict for every member of a base.
     """
-    for q in [p for p, _ in member.base.exponents] + list(member.subset):
+    for q in primes:
         ok = divides_base.get(q)
         if ok is None:
-            ok = divides_base[q] = member.base.value % (q - 1) == 0
-        if not ok or member.value % (q - 1) != 0:
+            ok = divides_base[q] = base.value % (q - 1) == 0
+        if not ok or value % (q - 1) != 0:
             return False
     return True
 
@@ -130,11 +175,14 @@ def verify_family(
     The primes of E are exactly the base primes plus the subset, so no
     factor table covering the huge member values is needed.
     """
+    base_primes = tuple(p for p, _ in base.exponents)
     divides_base: dict[int, bool] = {}
-    return all(
-        member_passes_criterion(build_member(base, subset, pset), divides_base)
-        for subset in subsets
-    )
+    for subset in subsets:
+        member = build_member(base, subset, pset)
+        primes = base_primes + member.subset
+        if not member_passes_criterion(base, member.value, primes, divides_base):
+            return False
+    return True
 
 
 def int_to_decimal(value: int) -> str:

@@ -1,12 +1,14 @@
 """Brute-force reference implementations used to pin expected values.
 
 Everything here is deliberately slow and simple: trial division, a
-divisor-criterion sieve, Pascal's triangle, and a trapezoid solver of the
-integral form of the rho delay equation.  None of it shares code with the
+divisor-criterion sieve, subset products by itertools.combinations,
+Pascal's triangle, and a trapezoid solver of the integral form of the rho
+delay equation.  None of it shares code with the
 package under test.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -87,6 +89,11 @@ def criterion_over(n, primes):
             while m % p == 0:
                 m //= p
     return m == 1
+
+
+def family_products(D, members, a):
+    """(subset, D * prod(subset)) for every size-a subset, in combinations order."""
+    return [(subset, D * math.prod(subset)) for subset in combinations(members, a)]
 
 
 def pascal_binomial(n, k):

@@ -11,7 +11,7 @@ import time
 
 from nc_forge.certify import Schedule, certify_lower_bound, check_binomial_floor, enumerate_certificate
 from nc_forge.cli import EXIT_MISMATCH, EXIT_OK, run
-from nc_forge.construction import build_base, build_member, verify_family
+from nc_forge.construction import build_base, build_family, build_member, verify_family
 from nc_forge.novak import carmichael_lambda, count_nc, is_nc_criterion, is_nc_definition
 from nc_forge.sieve import sieve_primes
 from nc_forge.smoothness import (
@@ -83,6 +83,19 @@ def test_certificate_soundness_at_scale():
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"soundness enumeration took {elapsed:.1f}s"
     _report("certificate-soundness")
+
+
+def test_enumeration_at_the_largest_benchmark_shape():
+    start = time.perf_counter()
+    base, _ = build_family(5000, 30)
+    cert = certify_lower_bound(Schedule.manual(base.value * 5000**2, 30, 5000))
+    assert (cert.pi, cert.A, cert.count) == (249, 2, 30876)
+    report = enumerate_certificate(cert)
+    assert report.members == 30876
+    assert report.ok
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"enumeration at (30, 5000) took {elapsed:.1f}s"
+    _report("enumeration-largest-shape")
 
 
 def test_binomial_floor_sweep():

@@ -19,8 +19,9 @@ from nc_forge.certify import (
     schedule_params,
     verify_certificate,
 )
-from nc_forge.construction import build_family
+from nc_forge.construction import build_family, family_products
 from nc_forge.errors import DomainError, ResourceError
+from nc_forge.novak import count_nc, list_nc
 from nc_forge.smoothness import ShiftedSmoothSet
 
 from oracles import pascal_binomial
@@ -60,6 +61,15 @@ def test_threshold_e_power_matches_high_precision_floor():
     t = parse_threshold("e^100")
     assert t.value == want
     assert t.log == 100.0
+
+
+def test_e_power_threshold_is_computed_once_per_process():
+    certify._floor_exp.cache_clear()
+    cert = certify_lower_bound(Schedule.t1("e^1000", 0.5))
+    assert verify_certificate(cert.to_dict())[0]
+    assert enumerate_certificate(cert).ok
+    info = certify._floor_exp.cache_info()
+    assert info.misses == 1 and info.hits >= 1
 
 
 def test_threshold_rejects_garbage():
@@ -258,6 +268,63 @@ def test_enumeration_flags_a_member_that_fails_the_criterion(monkeypatch):
     forged = ShiftedSmoothSet(x=100, y=10, members=members, count=len(members))
     monkeypatch.setattr(certify, "build_family", lambda s, r, memory_budget=None: (base, forged))
     assert not enumerate_certificate(cert).all_criterion_valid
+
+
+def test_enumeration_flags_a_member_above_x():
+    cert = certify_lower_bound(Schedule.manual(6350400 * 100, 10, 100)).to_dict()
+    base, pset = build_family(100, 10)
+    assert cert["A"] == 1 and pset.members[-1] == 97
+    cert["x"] = str(base.value * 97 - 1)  # only the largest member exceeds x
+    report = enumerate_certificate(cert)
+    assert not report.all_at_most_x
+    assert report.count_matches and report.distinct and report.all_criterion_valid
+
+
+def test_enumeration_flags_a_repeated_prime(monkeypatch):
+    cert = certify_lower_bound(Schedule.manual(6350400 * 100, 10, 100))
+    base, pset = build_family(100, 10)
+    members = tuple(sorted(pset.members + (11,)))  # two members E = 11 D
+    forged = ShiftedSmoothSet(x=100, y=10, members=members, count=len(members))
+    monkeypatch.setattr(certify, "build_family", lambda s, r, memory_budget=None: (base, forged))
+    report = enumerate_certificate(cert)
+    assert report.members == cert.count + 1
+    assert not report.distinct and not report.count_matches
+    assert report.all_at_most_x and report.all_criterion_valid
+
+
+@pytest.fixture(scope="module")
+def nc_up_to_1e6():
+    return set(list_nc(10**6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.integers(min_value=1, max_value=10**6),
+    r=st.integers(min_value=2, max_value=7),
+    s=st.integers(min_value=2, max_value=40),
+)
+def test_every_walked_member_is_novak_carmichael(nc_up_to_1e6, x, r, s):
+    r, s = min(r, s), max(r, s)
+    cert = certify_lower_bound(Schedule.manual(x, r, s))
+    if cert.count == 0:
+        return
+    base, pset = build_family(s, r)
+    values = {value for _, value in family_products(base.value, pset.members, cert.A)}
+    assert len(values) == cert.count
+    assert all(value <= x and value in nc_up_to_1e6 for value in values)
+
+
+@pytest.mark.parametrize("x", [10**7, 10**8, 10**9])
+def test_certified_counts_stay_below_the_exact_count(x):
+    exact = count_nc(x)
+    counts = [
+        certify_lower_bound(Schedule.manual(x, r, s)).count
+        for r in (3, 5, 7)
+        for s in (10, 30, 100)
+    ]
+    assert 0 < max(counts) <= exact
+    if x == 10**9:
+        assert certify_lower_bound(Schedule.manual(x, 5, 30)).count == 56 <= exact == 192_826
 
 
 def test_enumeration_of_zero_certificate_is_trivially_ok():

@@ -10,6 +10,7 @@ from nc_forge.construction import (
     build_base,
     build_family,
     build_member,
+    family_products,
     member_from_dict,
     member_to_dict,
     verify_family,
@@ -17,6 +18,7 @@ from nc_forge.construction import (
 from nc_forge.errors import DomainError, ResourceError
 from nc_forge.smoothness import ShiftedSmoothSet, shifted_smooth_set
 
+import oracles
 from oracles import criterion_over, trial_primes
 
 
@@ -155,6 +157,23 @@ def test_family_members_pass_an_independent_criterion(tables_small, s, r, data):
     primes = trial_primes(s)
     for sub in subsets:
         assert criterion_over(build_member(base, sub, pset).value, primes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.integers(min_value=2, max_value=60),
+    r=st.integers(min_value=2, max_value=60),
+    data=st.data(),
+)
+def test_family_products_match_combinations(tables_small, s, r, data):
+    if r > s:
+        r, s = s, r
+    base = build_base(s, r, tables_small.primes)
+    pset = shifted_smooth_set(s, r, tables_small.primes, tables_small.factors)
+    a = data.draw(st.integers(min_value=0, max_value=pset.count + 1))
+    want = oracles.family_products(base.value, pset.members, a)
+    assert list(family_products(base.value, pset.members, a)) == want
+    assert len(want) == math.comb(pset.count, a)
 
 
 def test_build_family_matches_its_parts(tables_small):
