@@ -10,7 +10,6 @@ import argparse
 import json
 import logging
 import sys
-from itertools import chain, combinations
 
 from .certify import (
     Schedule,
@@ -19,10 +18,12 @@ from .certify import (
     parse_threshold,
     verify_certificate,
 )
-from .construction import build_family, build_member, int_to_decimal, member_to_dict
+from .construction import (
+    FamilyMember, build_family, build_member, family_products, int_to_decimal, member_to_dict,
+)
 from .errors import DomainError, ResourceError
 from .novak import count_nc, is_nc_criterion, list_nc
-from .sieve import build_factor_table, build_tables
+from .sieve import build_tables, check_prime_list_budget
 from .smoothness import (
     YRule,
     conjecture_table,
@@ -149,8 +150,8 @@ def _cmd_nc_list(args) -> int:
 
 def _cmd_smooth_psi(args) -> int:
     x, y = parse_natural(args.x), parse_natural(args.y)
-    table = build_factor_table(max(x, 2), memory_budget=args.limit_memory)
-    c = psi_count(x, y, table)
+    check_prime_list_budget(min(x, y), args.limit_memory)  # psi_count lists the primes <= min(x, y)
+    c = psi_count(x, y)
     if args.format == "json":
         _emit({"x": x, "y": y, "psi": c})
     else:
@@ -216,10 +217,11 @@ def _cmd_construct(args) -> int:
             raise ResourceError(
                 f"--all would build 2^{pset.count} members; cap is 2^{CONSTRUCT_ALL_CAP}"
             )
-        subsets = chain.from_iterable(
-            combinations(pset.members, k) for k in range(pset.count + 1)
-        )
-        members = [build_member(base, sub, pset) for sub in subsets]
+        members = [
+            FamilyMember(base, subset, value)
+            for k in range(pset.count + 1)
+            for subset, value in family_products(base.value, pset.members, k)
+        ]
         if args.format == "json":
             _emit([member_to_dict(m) for m in members])
         else:

@@ -201,7 +201,7 @@ def member_to_dict(member: FamilyMember) -> dict:
     """JSON form with big integers as decimal strings."""
     return {
         "D": int_to_decimal(member.base.value),
-        "subset": [int(p) for p in member.subset],
+        "subset": list(member.subset),
         "E": int_to_decimal(member.value),
     }
 

@@ -25,13 +25,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DomainError, ResourceError, show_int
-from .sieve import MAX_LIMIT, FactorTable, factorize, sieve_primes
+from .sieve import MAX_LIMIT, FactorTable, prime_powers, sieve_primes
 from .smoothness import count_smooth
 
 DEFINITION_ORACLE_LIMIT = 10**7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NovakVerdict:
     """Membership verdict with a checkable witness on rejection.
 
@@ -58,11 +58,11 @@ def is_nc_criterion(n: int, table: FactorTable | None = None) -> NovakVerdict:
     if n < 1:
         raise DomainError(f"is_nc_criterion needs n >= 1, got {n}")
     if n == 1:
-        return NovakVerdict(n=1, is_nc=True)
-    for p, _ in factorize(n, table).factors:
+        return NovakVerdict(1, True)
+    for p, _ in prime_powers(n, table):  # ascending, so the first failure is the smallest
         if p > 2 and n % (p - 1):
-            return NovakVerdict(n=n, is_nc=False, witness_kind="prime", witness=p)
-    return NovakVerdict(n=n, is_nc=True)
+            return NovakVerdict(n, False, "prime", p)
+    return NovakVerdict(n, True)
 
 
 def is_nc_definition(n: int) -> NovakVerdict:
@@ -89,12 +89,9 @@ def carmichael_lambda(n: int, table: FactorTable | None = None) -> int:
         raise DomainError(f"carmichael_lambda needs n >= 1, got {n}")
     if n == 1:
         return 1
-    parts = []
-    for p, a in factorize(n, table).factors:
-        if p == 2:
-            parts.append(1 if a == 1 else 2 if a == 2 else 1 << (a - 2))
-        else:
-            parts.append(p ** (a - 1) * (p - 1))
+    parts = [p ** (a - 1) * (p - 1) for p, a in prime_powers(n, table)]  # phi(p^a)
+    if n % 8 == 0:  # lambda(2^a) = phi(2^a) / 2 for a >= 3, and 2 comes first
+        parts[0] //= 2
     return math.lcm(*parts)
 
 

@@ -10,7 +10,9 @@ segment size.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,14 +60,16 @@ class FactorTable:
     """
 
     limit: int
-    spf_odd: np.ndarray  # spf_odd[k] = smallest prime factor of 2k+1; slot 0 unused
+    spf_odd: np.ndarray  # spf_odd[k] = smallest prime factor of 2k+1; slot 0 holds 1
+
+    @cached_property
+    def spf_view(self) -> memoryview:
+        return self.spf_odd.data  # indexing yields Python ints, not boxed numpy scalars
 
     def spf(self, n: int) -> int:
         if n < 2 or n > self.limit:
             raise DomainError(f"spf({n}) outside table range [2, {self.limit}]")
-        if n % 2 == 0:
-            return 2
-        return int(self.spf_odd[n >> 1])
+        return 2 if n % 2 == 0 else self.spf_view[n >> 1]
 
     def spf_many(self, values: np.ndarray) -> np.ndarray:
         """Vectorised spf lookup.  Caller guarantees 2 <= v <= limit."""
@@ -84,10 +88,7 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
     def value(self) -> int:
-        out = 1
-        for p, a in self.factors:
-            out *= p**a
-        return out
+        return math.prod(p**a for p, a in self.factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +138,21 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes, count=len(primes))
 
 
+def check_prime_list_budget(limit: int, memory_budget: int | None = None) -> None:
+    """ResourceError when the primes up to limit, as a Python list, would exceed the budget.
+
+    Each prime costs 48 bytes (its sieve entry, a list slot and its int), and
+    pi(limit) < 1.26 limit / ln(limit) (Rosser and Schoenfeld, 1962).
+    """
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    needed = 48 * (limit if limit < 17 else 126 * limit // (100 * int(math.log(limit))))
+    if needed > budget:
+        raise ResourceError(
+            f"the primes up to {show_int(limit)} need about {show_int(needed)} bytes, "
+            f"over the {budget}-byte budget; lower x or y, or raise the budget"
+        )
+
+
 def _factor_table_dtype(limit: int, memory_budget: int | None) -> type:
     """The factor table's dtype for limit; ResourceError when the table exceeds the budget."""
     _check_limit(limit)
@@ -147,9 +163,9 @@ def _factor_table_dtype(limit: int, memory_budget: int | None) -> type:
     if needed > budget:
         raise ResourceError(
             f"factor table for limit {limit} needs {needed} bytes, over the "
-            f"{budget}-byte budget; raise the budget, or use count_nc, list_nc, "
-            f"is_nc_criterion without a table (nc check) or the segmented "
-            f"sieve_primes, which need no table"
+            f"{budget}-byte budget; raise the budget.  sieve_primes, count_nc, "
+            f"list_nc, is_nc_criterion (nc check) and psi_count (smooth psi) "
+            f"need no factor table"
         )
     return dtype
 
@@ -159,7 +175,10 @@ def build_factor_table(
     *,
     memory_budget: int | None = None,
 ) -> FactorTable:
-    """Build the smallest-prime-factor table for [2, limit].
+    """Build the smallest-prime-factor table for [2, limit], with no array beside it.
+
+    Each odd n starts as its own spf.  The odd primes p <= sqrt(limit) then
+    strike their odd multiples from p^2 on, largest first, so the smallest wins.
 
     Parameters
     ----------
@@ -167,17 +186,12 @@ def build_factor_table(
         Inclusive upper bound, at least 2.
     memory_budget : int, optional
         Maximum bytes for the internal array (default 2 GiB).  A limit
-        whose table would not fit raises ResourceError; count_nc, list_nc,
-        is_nc_criterion without a table (as in ``nc check``) and the
-        segmented sieve_primes need no factor table.
+        whose table would not fit raises ResourceError; sieve_primes,
+        count_nc, list_nc, is_nc_criterion and psi_count need no table.
     """
-    spf_odd = np.zeros((limit + 1) // 2, dtype=_factor_table_dtype(limit, memory_budget))
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if spf_odd[p >> 1] == 0:
-            view = spf_odd[(p * p) >> 1 :: p]
-            view[view == 0] = p
-    remaining = np.flatnonzero(spf_odd == 0)
-    spf_odd[remaining] = 2 * remaining + 1  # odd primes are their own spf
+    spf_odd = np.arange(1, limit + 1, 2, dtype=_factor_table_dtype(limit, memory_budget))
+    for p in reversed(_sieve_monolithic(math.isqrt(limit))[1:].tolist()):
+        spf_odd[(p * p) >> 1 :: p] = p
     spf_odd.setflags(write=False)
     return FactorTable(limit=limit, spf_odd=spf_odd)
 
@@ -191,23 +205,25 @@ def build_tables(limit: int, *, memory_budget: int | None = None) -> Tables:
     )
 
 
-def factorize(n: int, table: FactorTable | None = None) -> Factorization:
-    """Factor n >= 2, by the spf chain of a table or by trial division.
+def prime_powers(n: int, table: FactorTable | None = None) -> Iterator[tuple[int, int]]:
+    """Yield (p, e) for each p^e exactly dividing n >= 2, p increasing; 2 is divided out first.
 
-    With a table, n must lie in [2, table.limit].  Without one, n must lie
-    in [2, 2^40]: 2 is divided out, then every odd prime up to the square
-    root of the odd part m is tested at once, and what remains of m above 1
-    is a prime.  The work is that of sieving the primes up to sqrt(m).
+    With a table, n must lie in [2, table.limit] and the odd primes are read
+    off its spf chain.  Without one, n must lie in [2, 2^40]: every odd prime
+    up to sqrt(m), m the odd part, is tested at once, and what remains of m
+    above 1 is a prime.  A caller that stops early skips the rest.
     """
     if table is None:
         if n < 2:
             raise DomainError(f"factorize({n}) needs n >= 2")
         _check_limit(n)
-        out = []
-        e = (n & -n).bit_length() - 1  # exponent of 2 in n
-        m = n >> e
-        if e:
-            out.append((2, e))
+    elif n < 2 or n > table.limit:
+        raise DomainError(f"factorize({n}) outside table range [2, {table.limit}]")
+    e = (n & -n).bit_length() - 1  # exponent of 2 in n
+    m = n >> e
+    if e:
+        yield 2, e
+    if table is None:
         if m >= 9:
             primes = sieve_primes(math.isqrt(m)).primes
             for p in primes[m % primes == 0].tolist():
@@ -215,19 +231,21 @@ def factorize(n: int, table: FactorTable | None = None) -> Factorization:
                 while m % p == 0:
                     m //= p
                     e += 1
-                out.append((p, e))
+                yield p, e
         if m > 1:
-            out.append((m, 1))
-        return Factorization(n=n, factors=tuple(out))
-    if n < 2 or n > table.limit:
-        raise DomainError(f"factorize({n}) outside table range [2, {table.limit}]")
-    out = []
-    m = n
+            yield m, 1
+        return
+    spf = table.spf_view
     while m > 1:
-        p = 2 if m % 2 == 0 else int(table.spf_odd[m >> 1])
-        e = 0
+        p = spf[m >> 1]
+        m //= p
+        e = 1
         while m % p == 0:
             m //= p
             e += 1
-        out.append((p, e))
-    return Factorization(n=n, factors=tuple(out))
+        yield p, e
+
+
+def factorize(n: int, table: FactorTable | None = None) -> Factorization:
+    """Factor n >= 2 by prime_powers: the spf chain of a table, or trial division."""
+    return Factorization(n=n, factors=tuple(prime_powers(n, table)))

@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
-from .sieve import FactorTable, PrimeTable, Tables, sieve_primes
+from .errors import DomainError, ResourceError, show_int
+from .sieve import MAX_LIMIT, FactorTable, PrimeTable, Tables, prime_powers, sieve_primes
 
 logger = logging.getLogger(__name__)
 
@@ -87,13 +87,8 @@ def greatest_prime_factor(n: int, table: FactorTable) -> int:
         raise DomainError(f"greatest_prime_factor({n}) outside [1, {table.limit}]")
     if n == 1:
         return 1
-    p = 1
-    m = n
-    while m > 1:
-        p = 2 if m % 2 == 0 else int(table.spf_odd[m >> 1])
-        while m % p == 0:
-            m //= p
-    return p  # spf chain is nondecreasing, so the last factor is the largest
+    *_, (p, _) = prime_powers(n, table)  # the chain ascends, so its last prime is the largest
+    return p
 
 
 def _gpf_chunk(table: FactorTable, ns: np.ndarray) -> np.ndarray:
@@ -132,17 +127,20 @@ def count_smooth(x: int, primes: Sequence[int]) -> int:
     return count(x, len(primes))
 
 
-def psi_count(x: int, y: int, table: FactorTable) -> int:
+def psi_count(x: int, y: int, table: FactorTable | None = None) -> int:
     """Count the y-smooth integers n <= x (n = 1 included), from the primes <= y alone.
 
-    table is not read: it only bounds the domain, and x above table.limit raises DomainError.
+    No table is read.  One that is passed bounds the domain: x above
+    table.limit raises DomainError.  Without one, x above 2^40 raises ResourceError.
     """
     if x < 1:
         raise DomainError(f"psi_count needs x >= 1, got {x}")
     if y < 1:
         raise DomainError(f"psi_count needs y >= 1, got {y}")
-    if x > table.limit:
+    if table is not None and x > table.limit:
         raise DomainError(f"x={x} exceeds table limit {table.limit}")
+    if x > MAX_LIMIT:
+        raise ResourceError(f"x={show_int(x)} exceeds the supported ceiling 2^40")
     if min(x, y) < 2:
         return 1
     return count_smooth(x, sieve_primes(min(x, y)).primes.tolist())

@@ -37,6 +37,16 @@ def trial_factorize(n):
     return out
 
 
+def trial_spf(n):
+    """Smallest prime factor of n >= 2 by trial division; 1 for n = 1."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
+
 def trial_gpf(n):
     if n == 1:
         return 1

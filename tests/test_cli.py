@@ -203,9 +203,22 @@ def test_verify_rejects_json_number_over_the_digit_limit(capsys, tmp_path):
 
 def test_memory_budget_flag(capsys):
     code, _, err = invoke(
-        capsys, "smooth", "psi", "--x", "10^6", "--y", "5", "--limit-memory", "1000"
+        capsys, "smooth", "pi", "--x", "10^6", "--y", "5", "--limit-memory", "1000"
     )
     assert code == EXIT_RESOURCE
+    assert "budget" in err
+    # Psi is counted from the primes <= y and builds no table, so the budget never binds.
+    code, out, _ = invoke(
+        capsys, "smooth", "psi", "--x", "10^6", "--y", "5", "--limit-memory", "1000"
+    )
+    assert (code, out) == (EXIT_OK, "507\n")  # the 5-smooth numbers <= 10^6
+
+
+def test_smooth_psi_budget_bounds_its_prime_list(capsys):
+    code, out, err = invoke(
+        capsys, "smooth", "psi", "--x", "10^9", "--y", "10^9", "--limit-memory", "10^7"
+    )
+    assert (code, out) == (EXIT_RESOURCE, "")
     assert "budget" in err
 
 

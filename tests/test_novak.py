@@ -15,7 +15,7 @@ from nc_forge.novak import (
 )
 from nc_forge.sieve import build_factor_table, factorize
 
-from oracles import group_exponent, nc_flags_sieve
+from oracles import group_exponent, nc_flags_sieve, trial_factorize
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +39,16 @@ def test_criterion_examples(tables_small):
 def test_criterion_witness_is_smallest_failing_prime(tables_small):
     v = is_nc_criterion(3 * 5 * 7, tables_small.factors)
     assert v.witness == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=2 * 10**5))
+def test_criterion_witness_matches_trial_division(tables_1e6, n):
+    """Verdict and witness equal the smallest odd prime p | n with (p-1) not dividing n."""
+    failing = [p for p, _ in trial_factorize(n) if p > 2 and n % (p - 1)]
+    v = is_nc_criterion(n, tables_1e6.factors)
+    assert (v.n, v.is_nc) == (n, not failing)
+    assert (v.witness_kind, v.witness) == (("prime", failing[0]) if failing else (None, None))
 
 
 def test_criterion_rejects_out_of_range(tables_small):

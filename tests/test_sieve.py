@@ -1,19 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nc_forge.errors import DomainError, ResourceError
 from nc_forge import sieve
+from nc_forge.novak import is_nc_criterion
 from nc_forge.sieve import (
+    FactorTable,
     _sieve_monolithic,
     _sieve_segmented,
     build_factor_table,
     build_tables,
+    check_prime_list_budget,
     factorize,
     sieve_primes,
 )
+from nc_forge.smoothness import greatest_prime_factor
 
-from oracles import trial_factorize, trial_primes
+from oracles import trial_factorize, trial_primes, trial_spf
 
 
 def test_sieve_first_primes():
@@ -93,6 +99,49 @@ def test_factor_table_prime_fixed_points():
             assert t.spf(n) < n
 
 
+def test_factor_table_matches_trial_division():
+    """Every limit to 300 and 10^5: slot k holds spf(2k+1).  At limit = p^2 the
+    strike of p starts on the last slot; at p^2 - 1, p strikes nothing."""
+    want = [trial_spf(n) for n in range(1, 10**5 + 1, 2)]
+    for limit in [*range(2, 301), 10**5]:
+        table = build_factor_table(limit)
+        assert table.spf_odd.tolist() == want[: (limit + 1) // 2], limit
+
+
+def test_factor_table_build_allocates_nothing_beside_the_table():
+    tracemalloc.start()
+    try:
+        table = build_factor_table(10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * table.spf_odd.nbytes
+
+
+def test_prime_list_budget_covers_the_measured_peak():
+    tracemalloc.start()
+    try:
+        primes = sieve_primes(10**6).primes.tolist()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 78_498
+    with pytest.raises(ResourceError, match="budget"):
+        check_prime_list_budget(10**6, memory_budget=peak)
+
+
+def test_uint64_table_reads_like_uint32(tables_small):
+    """Tables at or above 2^32 store uint64; the memoryview chain must read them alike."""
+    t32 = tables_small.factors
+    t64 = FactorTable(limit=t32.limit, spf_odd=t32.spf_odd.astype(np.uint64))
+    assert t32.spf_odd.dtype == np.uint32 and t64.spf_view.format != t32.spf_view.format
+    for n in range(2, t32.limit + 1):
+        assert t64.spf(n) == t32.spf(n)
+        assert factorize(n, t64) == factorize(n, t32)
+        assert is_nc_criterion(n, t64) == is_nc_criterion(n, t32)
+        assert greatest_prime_factor(n, t64) == greatest_prime_factor(n, t32)
+
+
 def test_factor_table_rejects_bad_limits():
     with pytest.raises(DomainError):
         build_factor_table(1)
@@ -110,7 +159,7 @@ def test_build_tables_checks_the_budget_before_sieving(monkeypatch):
 
 
 def test_factor_table_memory_budget_points_at_segmented_mode():
-    with pytest.raises(ResourceError, match="segmented"):
+    with pytest.raises(ResourceError, match="count_nc, list_nc, .* need no factor table"):
         build_factor_table(10**6, memory_budget=1000)
 
 
