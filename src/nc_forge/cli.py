@@ -150,7 +150,8 @@ def _cmd_nc_list(args) -> int:
 
 def _cmd_smooth_psi(args) -> int:
     x, y = parse_natural(args.x), parse_natural(args.y)
-    check_prime_list_budget(min(x, y), args.limit_memory)  # psi_count lists the primes <= min(x, y)
+    if y < x:  # psi_count lists the primes <= y; for y >= x it lists none
+        check_prime_list_budget(y, args.limit_memory)
     c = psi_count(x, y)
     if args.format == "json":
         _emit({"x": x, "y": y, "psi": c})
@@ -223,7 +224,8 @@ def _cmd_construct(args) -> int:
             for subset, value in family_products(base.value, pset.members, k)
         ]
         if args.format == "json":
-            _emit([member_to_dict(m) for m in members])
+            d_text = int_to_decimal(base.value)
+            _emit([member_to_dict(m, d_text) for m in members])
         else:
             for m in members:
                 print(_member_line(m))

@@ -197,10 +197,13 @@ def int_from_decimal(value) -> int:
     return int(value)
 
 
-def member_to_dict(member: FamilyMember) -> dict:
-    """JSON form with big integers as decimal strings."""
+def member_to_dict(member: FamilyMember, d_text: str | None = None) -> dict:
+    """JSON form with big integers as decimal strings.
+
+    d_text, when given, is D in decimal, converted once for all members of a base.
+    """
     return {
-        "D": int_to_decimal(member.base.value),
+        "D": int_to_decimal(member.base.value) if d_text is None else d_text,
         "subset": list(member.subset),
         "E": int_to_decimal(member.value),
     }

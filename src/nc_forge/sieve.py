@@ -71,14 +71,6 @@ class FactorTable:
             raise DomainError(f"spf({n}) outside table range [2, {self.limit}]")
         return 2 if n % 2 == 0 else self.spf_view[n >> 1]
 
-    def spf_many(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised spf lookup.  Caller guarantees 2 <= v <= limit."""
-        out = np.full(values.shape, 2, dtype=np.int64)
-        odd = (values & 1).astype(bool)
-        if odd.any():
-            out[odd] = self.spf_odd[values[odd] >> 1]
-        return out
-
 
 @dataclass(frozen=True)
 class Factorization:

@@ -1,5 +1,10 @@
 """Smooth-number counts, shifted-smooth prime sets, and the Dickman rho function.
 
+Psi(x, y) is counted from the primes <= y alone by count_smooth, whose terms
+over a range that the list covers in full are leaves.  Pi(x, y) and the set
+P(x, y) come from one walk up the spf chain of each p - 1 that stops at the
+first prime factor above y, PI_CHUNK primes at a time.
+
 Conventions: the greatest prime factor of 1 is 1, so n = 1 counts as y-smooth
 for every y >= 1 and the prime 2 always belongs to the shifted-smooth set.
 """
@@ -21,6 +26,7 @@ from .sieve import MAX_LIMIT, FactorTable, PrimeTable, Tables, prime_powers, sie
 logger = logging.getLogger(__name__)
 
 RHO_CUTOFF = 500.0  # beyond this the double-precision value is flushed to zero
+PI_CHUNK = 1 << 18  # primes per chunk of the shifted-smooth walk
 
 
 @dataclass(frozen=True)
@@ -91,30 +97,24 @@ def greatest_prime_factor(n: int, table: FactorTable) -> int:
     return p
 
 
-def _gpf_chunk(table: FactorTable, ns: np.ndarray) -> np.ndarray:
-    """Greatest prime factor for each entry of ns (entries >= 1)."""
-    g = np.ones(ns.shape, dtype=np.int64)
-    m = ns.astype(np.int64, copy=True)
-    idx = np.flatnonzero(m > 1)
-    while idx.size:
-        p = table.spf_many(m[idx])
-        g[idx] = p
-        m[idx] //= p
-        idx = idx[m[idx] > 1]
-    return g
-
-
-def count_smooth(x: int, primes: Sequence[int]) -> int:
+def count_smooth(x: int, primes: Sequence[int], complete: int = 0) -> int:
     """Count the n <= x (n = 1 included) whose prime factors all lie in primes (ascending).
 
     Grouping n > 1 by its largest prime factor p_j gives the memoised recursion
     C(x, k) = 1 + sum over j < k with p_j <= x of C(x // p_j, j + 1) (Hildebrand and
     Tenenbaum, JTNB 5, 1993).  Each level divides x by 2 or more: depth <= log2(x).
+    When primes holds every prime <= complete, a term C(m, k) with m <= complete
+    whose first k primes include all those <= m is a leaf: every n <= m counts,
+    so C(m, k) = m.
     """
     memo: dict[tuple[int, int], int] = {}
 
     def count(m: int, k: int) -> int:
-        k = min(k, bisect_right(primes, m))  # primes above m divide no n <= m
+        below = bisect_right(primes, m)
+        if k >= below:
+            if m <= complete:
+                return m
+            k = below  # primes above m divide no n <= m
         key = (m, k)
         total = memo.get(key)
         if total is None:
@@ -132,6 +132,7 @@ def psi_count(x: int, y: int, table: FactorTable | None = None) -> int:
 
     No table is read.  One that is passed bounds the domain: x above
     table.limit raises DomainError.  Without one, x above 2^40 raises ResourceError.
+    For y >= x every n <= x counts, and x returns with no primes listed.
     """
     if x < 1:
         raise DomainError(f"psi_count needs x >= 1, got {x}")
@@ -141,19 +142,47 @@ def psi_count(x: int, y: int, table: FactorTable | None = None) -> int:
         raise DomainError(f"x={x} exceeds table limit {table.limit}")
     if x > MAX_LIMIT:
         raise ResourceError(f"x={show_int(x)} exceeds the supported ceiling 2^40")
-    if min(x, y) < 2:
+    if y >= x:
+        return x
+    if y < 2:
         return 1
-    return count_smooth(x, sieve_primes(min(x, y)).primes.tolist())
+    return count_smooth(x, sieve_primes(y).primes.tolist(), complete=y)
 
 
 def _shifted_smooth_primes(name: str, x: int, y: int, primes: PrimeTable, table: FactorTable):
-    """The primes p <= x whose shift p-1 is y-smooth, as an ascending array."""
+    """The primes p <= x whose shift p-1 is y-smooth, as an ascending array.
+
+    Chunk by chunk, p-1 loses its factors of 2 at once; the rest of its spf
+    chain ascends, so an entry is dropped at the first odd factor above y and
+    kept when its chain reaches 1.  y < 2 keeps only p = 2.
+    """
     if x < 2 or y < 1:
         raise DomainError(f"{name} needs x >= 2 and y >= 1, got x={x}, y={y}")
     if x > primes.limit or x - 1 > table.limit:
         raise DomainError(f"x={x} exceeds table limits")
     ps = primes.primes[: primes.pi(x)]
-    return ps[_gpf_chunk(table, ps - 1) <= y]
+    if y < 2:
+        return ps[:1]
+    y = min(y, x - 1)  # no factor of p-1 exceeds x-1, which fits the table's dtype
+    spf_odd = table.spf_odd
+    parts = []
+    for lo in range(0, len(ps), PI_CHUNK):
+        chunk = ps[lo : lo + PI_CHUNK]
+        m = (chunk - 1).astype(spf_odd.dtype)
+        m //= m & (~m + 1)  # odd part
+        smooth = m == 1
+        idx = np.flatnonzero(~smooth)
+        m = m[idx]
+        while idx.size:
+            p = spf_odd[m >> 1]
+            m //= p
+            ok = p <= y
+            hit = ok & (m == 1)
+            smooth[idx[hit]] = True
+            ok ^= hit  # still walking
+            idx, m = idx[ok], m[ok]
+        parts.append(chunk[smooth])
+    return np.concatenate(parts)
 
 
 def pi_smooth_count(x: int, y: int, primes: PrimeTable, table: FactorTable) -> int:

@@ -1,0 +1,39 @@
+"""Microbenchmark of the smoothness layer: Pi(z, y) by the spf walk and Psi(z, y) by recursion.
+
+Run it by name; the ``bench_`` prefix keeps it out of the default test run:
+
+    PYTHONPATH=src python -m pytest tests/bench_smooth.py
+
+z = 10^7 with the two y of the benchmark's ``smooth`` workload: the hild
+y = round(e^sqrt(log z)) = 55 and y = isqrt(z) = 3162.  The tables are built
+once, outside the timed calls.
+"""
+
+import math
+
+import pytest
+
+from nc_forge.sieve import build_tables
+from nc_forge.smoothness import pi_smooth_count, psi_count
+
+Z = 10**7
+YS = {"hild": round(math.exp(math.sqrt(math.log(Z)))), "sqrt": math.isqrt(Z)}
+PI = {55: 16_826, 3162: 282_700}
+PSI = {55: 115_696, 3162: 3_362_157}
+
+
+@pytest.fixture(scope="module")
+def tables():
+    return build_tables(Z)
+
+
+@pytest.mark.parametrize("rule", YS)
+def test_pi_smooth_count(benchmark, tables, rule):
+    y = YS[rule]
+    assert benchmark(pi_smooth_count, Z, y, tables.primes, tables.factors) == PI[y]
+
+
+@pytest.mark.parametrize("rule", YS)
+def test_psi_count(benchmark, rule):
+    y = YS[rule]
+    assert benchmark(psi_count, Z, y) == PSI[y]

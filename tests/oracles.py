@@ -3,8 +3,8 @@
 Everything here is deliberately slow and simple: trial division, a
 divisor-criterion sieve, subset products by itertools.combinations,
 Pascal's triangle, and a trapezoid solver of the integral form of the rho
-delay equation.  None of it shares code with the
-package under test.
+delay equation.  None of it shares code with the package under test;
+spf_many only reads a factor table's array.
 """
 
 import math
@@ -45,6 +45,14 @@ def trial_spf(n):
             return d
         d += 1
     return n
+
+
+def spf_many(table, values):
+    """Vectorised smallest-prime-factor lookup in a FactorTable's odd-slot array; 2 <= v <= limit."""
+    out = np.full(values.shape, 2, dtype=np.int64)
+    odd = (values & 1).astype(bool)
+    out[odd] = table.spf_odd[values[odd] >> 1]
+    return out
 
 
 def trial_gpf(n):

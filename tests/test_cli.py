@@ -216,10 +216,18 @@ def test_memory_budget_flag(capsys):
 
 def test_smooth_psi_budget_bounds_its_prime_list(capsys):
     code, out, err = invoke(
-        capsys, "smooth", "psi", "--x", "10^9", "--y", "10^9", "--limit-memory", "10^7"
+        capsys, "smooth", "psi", "--x", "10^10", "--y", "10^9", "--limit-memory", "10^7"
     )
     assert (code, out) == (EXIT_RESOURCE, "")
     assert "budget" in err
+    # For y >= x every n <= x is y-smooth: no prime list is built, so the budget never binds.
+    code, out, _ = invoke(
+        capsys, "smooth", "psi", "--x", "10^9", "--y", "10^9", "--limit-memory", "10^7"
+    )
+    assert (code, out) == (EXIT_OK, "1000000000\n")
+    code, out, err = invoke(capsys, "smooth", "psi", "--x", "10^13", "--y", "10^13")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert "2^40" in err
 
 
 def test_help_exits_zero(capsys):

@@ -17,9 +17,9 @@ from nc_forge.sieve import (
     factorize,
     sieve_primes,
 )
-from nc_forge.smoothness import greatest_prime_factor
+from nc_forge.smoothness import greatest_prime_factor, pi_smooth_count, shifted_smooth_set
 
-from oracles import trial_factorize, trial_primes, trial_spf
+from oracles import spf_many, trial_factorize, trial_primes, trial_spf
 
 
 def test_sieve_first_primes():
@@ -140,6 +140,10 @@ def test_uint64_table_reads_like_uint32(tables_small):
         assert factorize(n, t64) == factorize(n, t32)
         assert is_nc_criterion(n, t64) == is_nc_criterion(n, t32)
         assert greatest_prime_factor(n, t64) == greatest_prime_factor(n, t32)
+    primes = tables_small.primes
+    for x, y in ((2, 1), (100, 3), (5000, 70), (t32.limit, 97), (t32.limit, t32.limit)):
+        assert pi_smooth_count(x, y, primes, t64) == pi_smooth_count(x, y, primes, t32)
+        assert shifted_smooth_set(x, y, primes, t64) == shifted_smooth_set(x, y, primes, t32)
 
 
 def test_factor_table_rejects_bad_limits():
@@ -193,7 +197,7 @@ def test_factorize_reconstructs_exhaustively_to_1e6(tables_1e6):
     m = n.copy()
     idx = np.flatnonzero(m > 1)
     while idx.size:
-        p = table.spf_many(m[idx])
+        p = spf_many(table, m[idx])
         assert bool(is_prime[p].all())
         assert bool((p >= prev[idx]).all())
         prev[idx] = p

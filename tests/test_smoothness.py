@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nc_forge import smoothness
 from nc_forge.errors import DomainError
 from nc_forge.novak import _smooth_numbers
 from nc_forge.sieve import build_tables
@@ -94,6 +95,15 @@ def test_psi_equals_x_when_y_large(tables_small):
         assert psi_count(x, x, tables_small.factors) == x
 
 
+def test_psi_lists_no_primes_when_y_covers_x(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"sieved to {limit} although y >= x")
+
+    monkeypatch.setattr(smoothness, "sieve_primes", refuse)
+    assert psi_count(10**12, 10**12) == 10**12
+    assert psi_count(10**6, 10**30) == 10**6
+
+
 def test_psi_rejects_out_of_range(tables_small):
     with pytest.raises(DomainError):
         psi_count(tables_small.factors.limit + 1, 5, tables_small.factors)
@@ -114,6 +124,38 @@ def test_shifted_smooth_matches_brute_force(tables_small):
     p, f = tables_small.primes, tables_small.factors
     for x, y in ((100, 10), (300, 7), (1000, 4)):
         assert list(shifted_smooth_set(x, y, p, f).members) == shifted_smooth_primes(x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=3000).flatmap(
+    lambda x: st.tuples(st.just(x), st.integers(min_value=1, max_value=x + 10))
+))
+@example((2, 1))
+@example((3, 1))
+@example((17, 2))
+@example((2999, 2998))
+def test_shifted_smooth_walk_matches_brute_force(tables_small, xy):
+    x, y = xy
+    p, f = tables_small.primes, tables_small.factors
+    want = shifted_smooth_primes(x, y)
+    assert list(shifted_smooth_set(x, y, p, f).members) == want
+    assert pi_smooth_count(x, y, p, f) == len(want)
+
+
+def test_shifted_smooth_walk_ignores_chunk_boundaries(tables_1e6, monkeypatch):
+    p, f = tables_1e6.primes, tables_1e6.factors
+    ys = (1, 2, 3, 30, 316, 10**5)
+    whole = {y: shifted_smooth_set(10**5, y, p, f).members for y in ys}
+    monkeypatch.setattr(smoothness, "PI_CHUNK", 97)
+    for y in ys:
+        assert shifted_smooth_set(10**5, y, p, f).members == whole[y]
+        assert pi_smooth_count(10**5, y, p, f) == len(whole[y])
+
+
+def test_pi_smooth_pinned_at_1e7(tables_1e7):
+    p, f = tables_1e7.primes, tables_1e7.factors
+    assert pi_smooth_count(10**7, 55, p, f) == 16_826
+    assert pi_smooth_count(10**7, 3162, p, f) == 282_700
 
 
 def test_two_is_always_a_member(tables_small):
