@@ -51,7 +51,6 @@ from .smoothness import (
     YRule,
     conjecture_table,
     dickman_rho,
-    greatest_prime_factor,
     hildebrand_report,
     pi_smooth_count,
     psi_count,

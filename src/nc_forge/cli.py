@@ -23,7 +23,7 @@ from .construction import (
 )
 from .errors import DomainError, ResourceError
 from .novak import count_nc, is_nc_criterion, list_nc
-from .sieve import build_tables, check_prime_list_budget
+from .sieve import build_tables, check_budget, prime_count_bound
 from .smoothness import (
     YRule,
     conjecture_table,
@@ -40,6 +40,7 @@ EXIT_RESOURCE = 2
 EXIT_MISMATCH = 3
 
 CONSTRUCT_ALL_CAP = 20  # 2^pi members; refuse beyond this many set bits
+PRIME_LIST_BYTES = 48  # a listed prime: its sieve entry, a list slot and its int
 
 
 class _UsageError(Exception):
@@ -151,7 +152,7 @@ def _cmd_nc_list(args) -> int:
 def _cmd_smooth_psi(args) -> int:
     x, y = parse_natural(args.x), parse_natural(args.y)
     if y < x:  # psi_count lists the primes <= y; for y >= x it lists none
-        check_prime_list_budget(y, args.limit_memory)
+        check_budget({"prime list": PRIME_LIST_BYTES * prime_count_bound(y)}, args.limit_memory)
     c = psi_count(x, y)
     if args.format == "json":
         _emit({"x": x, "y": y, "psi": c})
@@ -218,14 +219,18 @@ def _cmd_construct(args) -> int:
             raise ResourceError(
                 f"--all would build 2^{pset.count} members; cap is 2^{CONSTRUCT_ALL_CAP}"
             )
-        members = [
+        members = (  # streamed: one member in memory at a time
             FamilyMember(base, subset, value)
             for k in range(pset.count + 1)
             for subset, value in family_products(base.value, pset.members, k)
-        ]
+        )
         if args.format == "json":
             d_text = int_to_decimal(base.value)
-            _emit([member_to_dict(m, d_text) for m in members])
+            sep = "["  # _emit's text for the whole list, written member by member
+            for m in members:  # k = 0 always yields D itself, so the list is never empty
+                sys.stdout.write(sep + json.dumps(member_to_dict(m, d_text), separators=(",", ":")))
+                sep = ","
+            sys.stdout.write("]\n")
         else:
             for m in members:
                 print(_member_line(m))
@@ -296,7 +301,8 @@ def build_parser() -> _Parser:
     common.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
     common.add_argument(
         "--limit-memory", type=parse_natural, default=None, metavar="BYTES",
-        help="memory budget for factor tables",
+        help="byte budget for the factor table and prime array a command builds, "
+        "and for smooth psi's prime list (default 2 GiB)",
     )
 
     top = _Parser(prog="nc-forge", description=__doc__)

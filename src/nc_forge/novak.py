@@ -22,17 +22,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ResourceError, show_int
-from .sieve import MAX_LIMIT, FactorTable, prime_powers, sieve_primes
+from .sieve import FactorTable, check_ceiling, prime_powers, sieve_primes
 from .smoothness import count_smooth
 
 DEFINITION_ORACLE_LIMIT = 10**7
 
 
-@dataclass(frozen=True, slots=True)
-class NovakVerdict:
+class NovakVerdict(NamedTuple):
     """Membership verdict with a checkable witness on rejection.
 
     witness_kind is "prime" (a prime p | n with (p-1) not dividing n) or
@@ -128,16 +127,11 @@ def _smooth_numbers(y: int, primes: list[int]) -> list[int]:
     return out
 
 
-def _check_x(name: str, x: int) -> None:
-    if x < 1:
-        raise DomainError(f"{name} needs x >= 1, got {show_int(x)}")
-    if x > MAX_LIMIT:
-        raise ResourceError(f"x={show_int(x)} exceeds the supported ceiling 2^40")
-
-
 def count_nc(x: int) -> int:
     """Exact count of Novak-Carmichael numbers <= x (n = 1 included)."""
-    _check_x("count_nc", x)
+    if x < 1:
+        raise DomainError(f"count_nc needs x >= 1, got {show_int(x)}")
+    check_ceiling("x", x)
     if x == 1:
         return 1
     return 1 + sum(count_smooth(x // m, s) for s, m in _closed_sets(x))
@@ -145,7 +139,9 @@ def count_nc(x: int) -> int:
 
 def list_nc(x: int) -> list[int]:
     """Ordered members <= x; length equals count_nc(x)."""
-    _check_x("list_nc", x)
+    if x < 1:
+        raise DomainError(f"list_nc needs x >= 1, got {show_int(x)}")
+    check_ceiling("x", x)
     if x == 1:
         return [1]
     return [1] + sorted(m * k for s, m in _closed_sets(x) for k in _smooth_numbers(x // m, s))

@@ -20,14 +20,36 @@ from .errors import DomainError, ResourceError, show_int
 
 SEGMENT_SIZE = 1 << 20  # flags per segment of the sieve above sqrt(limit)
 MAX_LIMIT = 1 << 40
-DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes allowed for one factor table
+DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes allowed for the big arrays of one call
+
+
+def check_ceiling(name: str, value: int) -> None:
+    """ResourceError when value, the input called name, exceeds the supported ceiling 2^40."""
+    if value > MAX_LIMIT:
+        raise ResourceError(f"{name}={show_int(value)} exceeds the supported ceiling 2^40")
+
+
+def check_budget(arrays: dict[str, int], memory_budget: int | None) -> None:
+    """ResourceError when the arrays a call will build, as {name: bytes}, exceed the budget."""
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    if sum(arrays.values()) > budget:
+        sizes = " + ".join(f"{name} {show_int(n)}" for name, n in arrays.items())
+        hint = "" if "factor table" not in arrays else (
+            ".  sieve_primes, count_nc, list_nc, is_nc_criterion (nc check) "
+            "and psi_count (smooth psi) need no factor table"
+        )
+        raise ResourceError(f"{sizes} bytes exceed the {budget}-byte budget; raise the budget{hint}")
+
+
+def prime_count_bound(limit: int) -> int:
+    """An upper bound on pi(limit): 1.26 limit / ln(limit) (Rosser and Schoenfeld, 1962)."""
+    return limit if limit < 17 else 126 * limit // (100 * int(math.log(limit)))
 
 
 def _check_limit(limit: int) -> None:
     if limit < 2:
         raise DomainError(f"limit must be at least 2, got {show_int(limit)}")
-    if limit > MAX_LIMIT:
-        raise ResourceError(f"limit {show_int(limit)} exceeds the supported ceiling 2^40")
+    check_ceiling("limit", limit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,36 +152,13 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes, count=len(primes))
 
 
-def check_prime_list_budget(limit: int, memory_budget: int | None = None) -> None:
-    """ResourceError when the primes up to limit, as a Python list, would exceed the budget.
-
-    Each prime costs 48 bytes (its sieve entry, a list slot and its int), and
-    pi(limit) < 1.26 limit / ln(limit) (Rosser and Schoenfeld, 1962).
-    """
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    needed = 48 * (limit if limit < 17 else 126 * limit // (100 * int(math.log(limit))))
-    if needed > budget:
-        raise ResourceError(
-            f"the primes up to {show_int(limit)} need about {show_int(needed)} bytes, "
-            f"over the {budget}-byte budget; lower x or y, or raise the budget"
-        )
-
-
-def _factor_table_dtype(limit: int, memory_budget: int | None) -> type:
-    """The factor table's dtype for limit; ResourceError when the table exceeds the budget."""
+def _factor_table_dtype(limit: int) -> type:
     _check_limit(limit)
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    half = (limit + 1) // 2  # slots for n = 1, 3, 5, ..., <= limit
-    dtype = np.uint32 if limit < 2**32 else np.uint64
-    needed = half * np.dtype(dtype).itemsize
-    if needed > budget:
-        raise ResourceError(
-            f"factor table for limit {limit} needs {needed} bytes, over the "
-            f"{budget}-byte budget; raise the budget.  sieve_primes, count_nc, "
-            f"list_nc, is_nc_criterion (nc check) and psi_count (smooth psi) "
-            f"need no factor table"
-        )
-    return dtype
+    return np.uint32 if limit < 2**32 else np.uint64
+
+
+def _factor_table_bytes(limit: int) -> int:
+    return (limit + 1) // 2 * np.dtype(_factor_table_dtype(limit)).itemsize  # n = 1, 3, 5, ...
 
 
 def build_factor_table(
@@ -181,7 +180,8 @@ def build_factor_table(
         whose table would not fit raises ResourceError; sieve_primes,
         count_nc, list_nc, is_nc_criterion and psi_count need no table.
     """
-    spf_odd = np.arange(1, limit + 1, 2, dtype=_factor_table_dtype(limit, memory_budget))
+    check_budget({"factor table": _factor_table_bytes(limit)}, memory_budget)
+    spf_odd = np.arange(1, limit + 1, 2, dtype=_factor_table_dtype(limit))
     for p in reversed(_sieve_monolithic(math.isqrt(limit))[1:].tolist()):
         spf_odd[(p * p) >> 1 :: p] = p
     spf_odd.setflags(write=False)
@@ -189,8 +189,15 @@ def build_factor_table(
 
 
 def build_tables(limit: int, *, memory_budget: int | None = None) -> Tables:
-    """A matched PrimeTable/FactorTable pair; the budget is checked before any sieve."""
-    _factor_table_dtype(limit, memory_budget)
+    """A matched PrimeTable/FactorTable pair.
+
+    The budget covers the factor table and the int64 prime array, sized by
+    prime_count_bound, and is checked before any sieve runs.
+    """
+    check_budget(
+        {"factor table": _factor_table_bytes(limit), "prime array": 8 * prime_count_bound(limit)},
+        memory_budget,
+    )
     return Tables(
         primes=sieve_primes(limit),
         factors=build_factor_table(limit, memory_budget=memory_budget),
@@ -208,7 +215,7 @@ def prime_powers(n: int, table: FactorTable | None = None) -> Iterator[tuple[int
     if table is None:
         if n < 2:
             raise DomainError(f"factorize({n}) needs n >= 2")
-        _check_limit(n)
+        check_ceiling("n", n)
     elif n < 2 or n > table.limit:
         raise DomainError(f"factorize({n}) outside table range [2, {table.limit}]")
     e = (n & -n).bit_length() - 1  # exponent of 2 in n

@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, show_int
-from .sieve import MAX_LIMIT, FactorTable, PrimeTable, Tables, prime_powers, sieve_primes
+from .errors import DomainError
+from .sieve import FactorTable, PrimeTable, Tables, check_ceiling, sieve_primes
 
 logger = logging.getLogger(__name__)
 
@@ -87,16 +87,6 @@ class YRule:
         return y
 
 
-def greatest_prime_factor(n: int, table: FactorTable) -> int:
-    """Largest prime dividing n; returns 1 for n = 1.  Requires n <= table.limit."""
-    if n < 1 or n > table.limit:
-        raise DomainError(f"greatest_prime_factor({n}) outside [1, {table.limit}]")
-    if n == 1:
-        return 1
-    *_, (p, _) = prime_powers(n, table)  # the chain ascends, so its last prime is the largest
-    return p
-
-
 def count_smooth(x: int, primes: Sequence[int], complete: int = 0) -> int:
     """Count the n <= x (n = 1 included) whose prime factors all lie in primes (ascending).
 
@@ -140,8 +130,7 @@ def psi_count(x: int, y: int, table: FactorTable | None = None) -> int:
         raise DomainError(f"psi_count needs y >= 1, got {y}")
     if table is not None and x > table.limit:
         raise DomainError(f"x={x} exceeds table limit {table.limit}")
-    if x > MAX_LIMIT:
-        raise ResourceError(f"x={show_int(x)} exceeds the supported ceiling 2^40")
+    check_ceiling("x", x)
     if y >= x:
         return x
     if y < 2:

@@ -10,6 +10,8 @@ from nc_forge.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, run
 from nc_forge.construction import build_base
 from nc_forge.sieve import sieve_primes
 
+from oracles import family_products, shifted_smooth_primes
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -87,6 +89,16 @@ def test_construct_all(capsys):
     members = json.loads(out)
     assert len(members) == 16
     assert len({m["E"] for m in members}) == 16
+    # Streamed member by member, the text is still json.dumps of the whole list.
+    base = build_base(30, 5, sieve_primes(30)).value
+    pset = shifted_smooth_primes(30, 5)
+    want = [
+        {"D": str(base), "subset": list(subset), "E": str(value)}
+        for k in range(len(pset) + 1)
+        for subset, value in family_products(base, pset, k)
+    ]
+    code, out, _ = invoke(capsys, "construct", "--r", "5", "--s", "30", "--all", "--format", "json")
+    assert (code, out) == (EXIT_OK, json.dumps(want, separators=(",", ":")) + "\n")
 
 
 def test_construct_base_info(capsys):
@@ -207,6 +219,12 @@ def test_memory_budget_flag(capsys):
     )
     assert code == EXIT_RESOURCE
     assert "budget" in err
+    # The table alone fits 2 MB; the budget also counts the prime array beside it.
+    code, _, err = invoke(
+        capsys, "smooth", "pi", "--x", "10^6", "--y", "5", "--limit-memory", "2000000"
+    )
+    assert code == EXIT_RESOURCE
+    assert "factor table" in err and "prime array" in err
     # Psi is counted from the primes <= y and builds no table, so the budget never binds.
     code, out, _ = invoke(
         capsys, "smooth", "psi", "--x", "10^6", "--y", "5", "--limit-memory", "1000"

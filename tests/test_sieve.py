@@ -13,11 +13,13 @@ from nc_forge.sieve import (
     _sieve_segmented,
     build_factor_table,
     build_tables,
-    check_prime_list_budget,
+    check_budget,
     factorize,
+    prime_count_bound,
     sieve_primes,
 )
-from nc_forge.smoothness import greatest_prime_factor, pi_smooth_count, shifted_smooth_set
+from nc_forge.cli import PRIME_LIST_BYTES
+from nc_forge.smoothness import pi_smooth_count, shifted_smooth_set
 
 from oracles import spf_many, trial_factorize, trial_primes, trial_spf
 
@@ -127,7 +129,27 @@ def test_prime_list_budget_covers_the_measured_peak():
         tracemalloc.stop()
     assert len(primes) == 78_498
     with pytest.raises(ResourceError, match="budget"):
-        check_prime_list_budget(10**6, memory_budget=peak)
+        check_budget({"prime list": PRIME_LIST_BYTES * prime_count_bound(10**6)}, peak)
+
+
+def test_build_tables_budget_counts_the_prime_array():
+    build_factor_table(10**6, memory_budget=2_000_000)  # the table alone fits
+    with pytest.raises(ResourceError, match="factor table 2000000 \\+ prime array \\d+ bytes"):
+        build_tables(10**6, memory_budget=2_000_000)
+
+
+def test_build_tables_peak_is_within_what_the_budget_charged():
+    tracemalloc.start()
+    try:
+        tables = build_tables(10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    charged = tables.factors.spf_odd.nbytes + 8 * prime_count_bound(10**7)
+    assert tables.primes.primes.nbytes <= 8 * prime_count_bound(10**7)
+    assert peak <= charged
+    with pytest.raises(ResourceError):
+        build_tables(10**7, memory_budget=charged - 1)
 
 
 def test_uint64_table_reads_like_uint32(tables_small):
@@ -139,7 +161,6 @@ def test_uint64_table_reads_like_uint32(tables_small):
         assert t64.spf(n) == t32.spf(n)
         assert factorize(n, t64) == factorize(n, t32)
         assert is_nc_criterion(n, t64) == is_nc_criterion(n, t32)
-        assert greatest_prime_factor(n, t64) == greatest_prime_factor(n, t32)
     primes = tables_small.primes
     for x, y in ((2, 1), (100, 3), (5000, 70), (t32.limit, 97), (t32.limit, t32.limit)):
         assert pi_smooth_count(x, y, primes, t64) == pi_smooth_count(x, y, primes, t32)

@@ -7,13 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from nc_forge import smoothness
 from nc_forge.errors import DomainError
 from nc_forge.novak import _smooth_numbers
-from nc_forge.sieve import build_tables
+from nc_forge.sieve import build_tables, factorize
 from nc_forge.smoothness import (
     CSV_HEADER,
     YRule,
     conjecture_table,
     count_smooth,
-    greatest_prime_factor,
     hildebrand_report,
     pi_smooth_count,
     psi_count,
@@ -34,24 +33,11 @@ def supports():
     return [frozenset(p for p, _ in trial_factorize(n)) for n in range(SUBSET_X + 1)]
 
 
-def test_gpf_examples(tables_small):
-    t = tables_small.factors
-    assert greatest_prime_factor(1, t) == 1
-    assert greatest_prime_factor(96, t) == 3
-    assert greatest_prime_factor(97, t) == 97
-
-
-def test_gpf_rejects_out_of_range(tables_small):
-    with pytest.raises(DomainError):
-        greatest_prime_factor(0, tables_small.factors)
-    with pytest.raises(DomainError):
-        greatest_prime_factor(tables_small.factors.limit + 1, tables_small.factors)
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=10_000))
+@given(st.integers(min_value=2, max_value=10_000))
 def test_gpf_matches_trial_division(tables_small, n):
-    assert greatest_prime_factor(n, tables_small.factors) == trial_gpf(n)
+    """The spf chain ascends, so its last prime is the greatest prime factor."""
+    assert factorize(n, tables_small.factors).factors[-1][0] == trial_gpf(n)
 
 
 def test_psi_examples(tables_small):
