@@ -2,6 +2,10 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 domain/usage error, 2 resource error, 3 verification mismatch.
+
+Exit code 141 (128 + SIGPIPE) means the reader closed stdout before the
+output ended, as in `nc-forge construct --r 10 --s 100 --all | head -1`;
+no traceback is printed.
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 
 from .certify import (
@@ -38,6 +43,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_RESOURCE = 2
 EXIT_MISMATCH = 3
+EXIT_PIPE = 141  # what a shell reports for a writer that SIGPIPE ends
 
 CONSTRUCT_ALL_CAP = 20  # 2^pi members; refuse beyond this many set bits
 PRIME_LIST_BYTES = 48  # a listed prime: its sieve entry, a list slot and its int
@@ -305,7 +311,8 @@ def build_parser() -> _Parser:
         "and for smooth psi's prime list (default 2 GiB)",
     )
 
-    top = _Parser(prog="nc-forge", description=__doc__)
+    # --help stops before the pipe note: perfbench/golden.json records its text byte for byte
+    top = _Parser(prog="nc-forge", description=__doc__.rsplit("\n\n", 1)[0])
     sub = top.add_subparsers(dest="command", required=True)
 
     nc = sub.add_parser("nc", help="membership, counting, listing")
@@ -368,7 +375,12 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit writes nowhere
+        return EXIT_PIPE
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except _UsageError as exc:

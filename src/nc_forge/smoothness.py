@@ -3,7 +3,9 @@
 Psi(x, y) is counted from the primes <= y alone by count_smooth, whose terms
 over a range that the list covers in full are leaves.  Pi(x, y) and the set
 P(x, y) come from one walk up the spf chain of each p - 1 that stops at the
-first prime factor above y, PI_CHUNK primes at a time.
+first prime factor above y, PI_CHUNK primes at a time.  Dickman's rho is
+summed from a power series with positive coefficients on each unit interval,
+so its values carry relative, not absolute, accuracy.
 
 Conventions: the greatest prime factor of 1 is 1, so n = 1 counts as y-smooth
 for every y >= 1 and the prime 2 always belongs to the shifted-smooth set.
@@ -25,7 +27,7 @@ from .sieve import FactorTable, PrimeTable, Tables, check_ceiling, sieve_primes
 
 logger = logging.getLogger(__name__)
 
-RHO_CUTOFF = 500.0  # beyond this the double-precision value is flushed to zero
+RHO_CUTOFF = 500.0  # beyond this the series is not built: rho underflows from about u = 132.8
 PI_CHUNK = 1 << 18  # primes per chunk of the shifted-smooth walk
 
 
@@ -194,83 +196,65 @@ def shifted_smooth_set(
 # Dickman rho
 # ---------------------------------------------------------------------------
 
-_NODES = 4096  # nodes per unit interval, step 2^-12
-_H = 1.0 / _NODES
+_TERMS = 60  # series terms per unit interval; at xi = 1 the tail is below 2^-60 of the sum
 
 
-class _DickmanGrid:
-    """Values of rho on a fixed grid, extended block by block.
+class _DickmanSeries:
+    """Power series of rho on each unit interval, built interval by interval.
 
-    Block b holds rho on [b, b+1].  The delayed values rho(t-1) needed on a
-    new block all lie in the previous, fully computed block, so each unit
-    interval is integrated with composite Simpson steps whose midpoints come
-    from cubic interpolation of the known block.
+    coeffs[k - 1] holds c_0..c_59 with rho(k - xi) = sum of c_i xi^i for 0 <= xi <= 1
+    (Marsaglia, Zaman and Marsaglia, Math. Comp. 53, 1989); rho = 1 on [0, 1].
+    u rho'(u) = -rho(u-1) gives c_{m+1}^(k) = (c_m^(k-1) + m c_m^(k)) / (k (m+1)),
+    and k rho(k) = integral of rho over [k-1, k] gives
+    c_0^(k) = sum over i >= 1 of c_i^(k) / ((i+1)(k-1)).  For k = 2 these are the
+    coefficients of 1 - ln(2 - xi) = 1 - ln 2 + sum over i >= 1 of (xi/2)^i / i.
+    Every coefficient is positive, so each value is a sum of positive terms.
     """
 
     def __init__(self) -> None:
-        self.values = np.ones(_NODES + 1)  # rho = 1 on [0, 1]
-        self.blocks = 1
+        self.coeffs: list[list[float]] = [[1.0] + [0.0] * (_TERMS - 1)]
         self._lock = threading.Lock()
 
-    def extend_to(self, blocks: int) -> None:
+    def extend_to(self, k: int) -> None:
         with self._lock:
-            prev = self.values[-(_NODES + 1) :]
-            new = []
-            while self.blocks < blocks:
-                mid = np.empty(_NODES)
-                mid[1:-1] = (-prev[:-3] + 9.0 * prev[1:-2] + 9.0 * prev[2:-1] - prev[3:]) / 16.0
-                mid[0] = 0.3125 * prev[0] + 0.9375 * prev[1] - 0.3125 * prev[2] + 0.0625 * prev[3]
-                mid[-1] = 0.0625 * prev[-4] - 0.3125 * prev[-3] + 0.9375 * prev[-2] + 0.3125 * prev[-1]
-                ts = self.blocks + np.arange(_NODES + 1) * _H
-                f_lo = prev[:-1] / ts[:-1]
-                f_hi = prev[1:] / ts[1:]
-                f_mid = mid / (ts[:-1] + 0.5 * _H)
-                steps = (_H / 6.0) * (f_lo + 4.0 * f_mid + f_hi)
-                block = prev[-1] - np.cumsum(steps)
-                np.maximum(block, 0.0, out=block)  # clamp double-precision underflow
-                new.append(block)
-                prev = np.concatenate([prev[-1:], block])
-                self.blocks += 1
-            if new:  # one copy of the grid per call, not one per block
-                self.values = np.concatenate([self.values, *new])
+            while len(self.coeffs) < k:
+                k_new = len(self.coeffs) + 1
+                prev = self.coeffs[-1]
+                c = [0.0] * _TERMS
+                for m in range(_TERMS - 1):
+                    c[m + 1] = (prev[m] + m * c[m]) / (k_new * (m + 1))
+                c[0] = sum(c[i] / (i + 1) for i in range(1, _TERMS)) / (k_new - 1)
+                self.coeffs.append(c)
 
     def eval(self, u: float) -> float:
-        self.extend_to(max(1, math.ceil(u)))
-        k = u * _NODES
-        k0 = math.floor(k)
-        if k0 >= len(self.values) - 1:
-            return float(self.values[-1])
-        if k == k0:
-            return float(self.values[k0])
-        block_lo = (k0 // _NODES) * _NODES
-        base = min(max(k0 - 1, block_lo), block_lo + _NODES - 3)
-        t = k - base
-        w0 = (t - 1.0) * (t - 2.0) * (t - 3.0) / -6.0
-        w1 = t * (t - 2.0) * (t - 3.0) / 2.0
-        w2 = t * (t - 1.0) * (t - 3.0) / -2.0
-        w3 = t * (t - 1.0) * (t - 2.0) / 6.0
-        v = self.values[base : base + 4]
-        return float(w0 * v[0] + w1 * v[1] + w2 * v[2] + w3 * v[3])
+        k = max(1, math.ceil(u))  # u = 0 lies in the first interval too
+        self.extend_to(k)
+        xi = k - u
+        v = 0.0
+        for c in reversed(self.coeffs[k - 1]):
+            v = v * xi + c
+        return v
 
 
-_GRID = _DickmanGrid()
+_SERIES = _DickmanSeries()
 
 
 def dickman_rho(u: float) -> float:
     """Dickman's rho: 1 on [0, 1], then u rho'(u) = -rho(u-1).
 
-    Absolute error is at most 1e-9 for u <= 20.  For u > 500 the value
-    underflows double precision and 0.0 is returned (logged).
+    Every value is a sum of positive series terms, so its error is relative:
+    below 2e-15 of rho(u) while rho(u) is a normal double (u up to about
+    127.3).  Subnormal values lose digits, and from about u = 132.8 rho(u) is
+    below the smallest double and 0.0 is returned.  For u > RHO_CUTOFF = 500
+    no series is built: 0.0 is returned at once (logged).
     """
     u = float(u)
     if not u >= 0:  # nan too
         raise DomainError(f"dickman_rho needs u >= 0, got {u}")
-    if u <= 1.0:
-        return 1.0
     if u > RHO_CUTOFF:
         logger.warning("dickman_rho(%g): underflow-to-zero beyond u=%g", u, RHO_CUTOFF)
         return 0.0
-    return _GRID.eval(u)
+    return _SERIES.eval(u)
 
 
 # ---------------------------------------------------------------------------

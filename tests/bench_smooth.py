@@ -1,4 +1,5 @@
-"""Microbenchmark of the smoothness layer: Pi(z, y) by the spf walk and Psi(z, y) by recursion.
+"""Microbenchmark of the smoothness layer: Pi(z, y) by the spf walk, Psi(z, y) by recursion
+and a cold Dickman rho.
 
 Run it by name; the ``bench_`` prefix keeps it out of the default test run:
 
@@ -6,15 +7,17 @@ Run it by name; the ``bench_`` prefix keeps it out of the default test run:
 
 z = 10^7 with the two y of the benchmark's ``smooth`` workload: the hild
 y = round(e^sqrt(log z)) = 55 and y = isqrt(z) = 3162.  The tables are built
-once, outside the timed calls.
+once, outside the timed calls.  rho(390), the far end of the workload's cold
+rho, runs each round on a fresh coefficient cache.
 """
 
 import math
 
 import pytest
 
+from nc_forge import smoothness
 from nc_forge.sieve import build_tables
-from nc_forge.smoothness import pi_smooth_count, psi_count
+from nc_forge.smoothness import dickman_rho, pi_smooth_count, psi_count
 
 Z = 10**7
 YS = {"hild": round(math.exp(math.sqrt(math.log(Z)))), "sqrt": math.isqrt(Z)}
@@ -37,3 +40,10 @@ def test_pi_smooth_count(benchmark, tables, rule):
 def test_psi_count(benchmark, rule):
     y = YS[rule]
     assert benchmark(psi_count, Z, y) == PSI[y]
+
+
+def test_dickman_rho_cold(benchmark, monkeypatch):
+    def fresh_cache():
+        monkeypatch.setattr(smoothness, "_SERIES", smoothness._DickmanSeries())
+
+    assert benchmark.pedantic(dickman_rho, args=(390.0,), setup=fresh_cache, rounds=20) == 0.0

@@ -3,10 +3,14 @@ import decimal
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from nc_forge.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, run
+from nc_forge.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, run
 from nc_forge.construction import build_base
 from nc_forge.sieve import sieve_primes
 
@@ -250,6 +254,28 @@ def test_smooth_psi_budget_bounds_its_prime_list(capsys):
 
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == EXIT_OK
+
+
+def test_closed_stdout_exits_quietly_with_the_pipe_code():
+    # Like `nc-forge construct --r 10 --s 100 --all | head -1`: 2^17 member lines, far
+    # more than a pipe buffers, so the child is still writing when its reader leaves.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "nc_forge.cli", "construct", "--r", "10", "--s", "100", "--all"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert child.stdout.readline() == b"E=6350400 subset=\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == EXIT_PIPE
+    finally:
+        child.kill()
+        child.wait()
+        child.stderr.close()
+    assert err == b""
 
 
 def test_output_is_deterministic(capsys):

@@ -1,11 +1,12 @@
 import logging
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nc_forge.errors import DomainError
-from nc_forge.smoothness import _DickmanGrid, dickman_rho
+from nc_forge.smoothness import _DickmanSeries, dickman_rho
 
 from oracles import dickman_oracle
 
@@ -16,6 +17,15 @@ RHO_ORACLE = {
     2.5: 0.13031956183225066,
     3.0: 0.048608388291128866,
     4.0: 0.004910925647759985,
+}
+
+# Van de Lune and Wattel, Math. Comp. 23 (1969).
+RHO_PUBLISHED = {
+    6.0: 1.9649696e-5,
+    7.0: 8.7456700e-7,
+    8.0: 3.2320693e-8,
+    9.0: 1.0162483e-9,
+    10.0: 2.7701718e-11,
 }
 
 
@@ -42,6 +52,22 @@ def test_matches_live_oracle():
     assert abs(dickman_rho(3.0) - dickman_oracle(3.0)) <= 1e-9
 
 
+def test_matches_published_values():
+    for u, want in RHO_PUBLISHED.items():
+        assert abs(dickman_rho(u) - want) <= 1e-7 * want
+
+
+def test_integral_equation_holds_to_relative_accuracy():
+    # u rho(u) = integral of rho over [u-1, u]; quad on eighths of the interval and at
+    # the integer where rho' has its kink.  Far below 1e-15, where an absolute error
+    # would swamp the value, the relative error must stay small too.
+    for u in (2.5, 3.0, 10.3, 20.0, 50.7, 100.1):
+        nodes = sorted({u - 1 + j / 8 for j in range(9)} | {float(math.floor(u))})
+        integral = mpmath.quad(dickman_rho, nodes)
+        lhs = u * dickman_rho(u)
+        assert abs(lhs - integral) <= 1e-7 * lhs, u
+
+
 def test_value_at_three():
     assert abs(dickman_rho(3.0) - 0.0486084) <= 1e-4
 
@@ -52,7 +78,7 @@ def test_bounded_by_reciprocal_gamma():
 
 
 def test_strictly_decreasing_past_one():
-    grid = [1.0 + 0.25 * k for k in range(1, 45)]  # up to 12, above the noise floor
+    grid = [1.0 + 0.25 * k for k in range(1, 477)]  # up to 120, where rho is near 1e-280
     values = [dickman_rho(u) for u in grid]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert all(v > 0 for v in values)
@@ -69,15 +95,17 @@ def test_continuity_at_interval_joints():
         assert abs(dickman_rho(u - eps) - dickman_rho(u + eps)) < 1e-6
 
 
-def test_grid_extension_does_not_depend_on_call_pattern():
-    at_once = _DickmanGrid()
+def test_series_extension_does_not_depend_on_call_pattern():
+    at_once = _DickmanSeries()
     at_once.extend_to(40)
-    by_block = _DickmanGrid()
-    for blocks in range(1, 41):
-        by_block.extend_to(blocks)
-    by_block.extend_to(20)  # asking for fewer blocks keeps the grid
-    assert at_once.blocks == by_block.blocks == 40
-    assert at_once.values.tobytes() == by_block.values.tobytes()
+    by_interval = _DickmanSeries()
+    for k in range(1, 41):
+        by_interval.extend_to(k)
+    by_interval.extend_to(20)  # asking for fewer intervals keeps the coefficients
+    assert len(at_once.coeffs) == len(by_interval.coeffs) == 40
+    assert at_once.coeffs == by_interval.coeffs
+    us = [1.0 + k / 7 for k in range(1, 274)]  # (1, 40]
+    assert [at_once.eval(u) for u in us] == [by_interval.eval(u) for u in us]
 
 
 def test_rejects_negative():
