@@ -9,6 +9,7 @@ Usage: python scripts/certificate_demo.py
 """
 
 import json
+import math
 import sys
 import time
 
@@ -16,7 +17,7 @@ from nc_forge.certify import (
     Schedule,
     certify_lower_bound,
     enumerate_certificate,
-    exponent_report,
+    parse_threshold,
     verify_certificate,
 )
 
@@ -26,6 +27,20 @@ def show(cert, label):
     status = "verified" if ok else f"MISMATCH: {mismatches}"
     print(f"--- {label}: {status}")
     print(json.dumps(cert.to_dict(), indent=2))
+
+
+def exponent_report(x_texts, u):
+    """One CSV row x,r,s,A,log10_count,exponent per t1 certificate at u.
+
+    The exponent is log(count)/log(x), to set against the target 1 - u;
+    NA when the certificate is infeasible or empty.
+    """
+    for text in x_texts:
+        x = parse_threshold(text)
+        cert = certify_lower_bound(Schedule.t1(x, u))
+        feasible = cert.infeasible_reason is None and cert.count >= 1
+        expo = f"{math.log(cert.count) / x.log:.4f}" if feasible else "NA"
+        yield f"{cert.x},{cert.r},{cert.s},{cert.A},{cert.log10_count:.2f},{expo}"
 
 
 def main() -> int:
@@ -44,9 +59,8 @@ def main() -> int:
 
     print("\n--- realized exponents, t1 u=0.5 (target 0.5)")
     print("x,r,s,A,log10_count,exponent")
-    for row in exponent_report(["10^30", "10^60", "10^120", "e^1000"], "t1", u=0.5):
-        expo = "NA" if row.exponent is None else f"{row.exponent:.4f}"
-        print(f"{row.x},{row.r},{row.s},{row.A},{row.log10_count:.2f},{expo}")
+    for row in exponent_report(["10^30", "10^60", "10^120", "e^1000"], 0.5):
+        print(row)
 
     print(f"\ntotal {time.time() - t0:.1f}s", file=sys.stderr)
     return 0

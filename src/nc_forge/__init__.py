@@ -2,15 +2,12 @@
 
 from .certify import (
     EnumerationReport,
-    ExponentRow,
     LowerBoundCertificate,
     Schedule,
     Threshold,
     binomial,
     certify_lower_bound,
-    check_binomial_floor,
     enumerate_certificate,
-    exponent_report,
     parse_threshold,
     schedule_params,
     verify_certificate,
@@ -21,7 +18,6 @@ from .construction import (
     build_base,
     build_family,
     build_member,
-    member_from_dict,
     member_to_dict,
     verify_family,
 )
@@ -31,17 +27,14 @@ from .novak import (
     carmichael_lambda,
     count_nc,
     is_nc_criterion,
-    is_nc_definition,
     list_nc,
 )
 from .sieve import (
     FactorTable,
-    Factorization,
     PrimeTable,
     Tables,
     build_factor_table,
     build_tables,
-    factorize,
     sieve_primes,
 )
 from .smoothness import (

@@ -22,7 +22,6 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 from .construction import (
     build_family,
@@ -170,10 +169,10 @@ def schedule_params(sched: Schedule) -> tuple[int, int, bool]:
     if sched.kind == SCHEDULE_T1:
         r = math.floor(big_l / ll**2)
         if r >= 1:
-            s_real = float(r) ** (1.0 / sched.u)
-            if not math.isfinite(s_real):
-                raise ResourceError(f"schedule s overflows at r={r}, u={sched.u}")
-            s = math.floor(s_real)
+            try:
+                s = math.floor(float(r) ** (1.0 / sched.u))
+            except OverflowError as exc:  # r^(1/u) beyond a float, or 1/u itself infinite
+                raise ResourceError(f"schedule s overflows at r={r}, u={sched.u}") from exc
         else:
             s = 0
     elif sched.kind == SCHEDULE_T2:
@@ -243,7 +242,7 @@ class LowerBoundCertificate:
                 lemma2_applicable=bool(data["lemma2_applicable"]),
                 infeasible_reason=data.get("infeasible_reason"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # JSON's 1e400 is inf
             raise DomainError(f"malformed certificate: {exc}") from exc
 
 
@@ -346,14 +345,14 @@ def verify_certificate(
             mismatches.append(f"missing field {key!r}")
     if mismatches:
         return False, mismatches
-    try:
-        x = parse_threshold(str(given["x"]))
-        r = int(given["r"])
-        s = int(given["s"])
-    except (TypeError, ValueError) as exc:
-        return False, [f"unparseable field: {exc}"]
+    parsed = {}
+    for key, parse in (("x", lambda v: parse_threshold(str(v))), ("r", int), ("s", int)):
+        try:
+            parsed[key] = parse(given[key])
+        except (TypeError, ValueError, OverflowError) as exc:  # JSON's 1e400 is inf
+            return False, [f"unparseable field {key!r}: {exc}"]
     recomputed = certify_lower_bound(
-        Schedule.manual(x, r, s), memory_budget=memory_budget
+        Schedule.manual(parsed["x"], parsed["r"], parsed["s"]), memory_budget=memory_budget
     ).to_dict()
     for key in sorted(set(given) | set(recomputed)):
         if key not in recomputed:
@@ -363,20 +362,6 @@ def verify_certificate(
         elif given[key] != recomputed[key]:
             mismatches.append(f"{key}: certificate has {given[key]!r}, recomputed {recomputed[key]!r}")
     return not mismatches, mismatches
-
-
-def check_binomial_floor(a_max: int) -> bool:
-    """binomial(a, b) >= (a/b)^b for all 2 <= a <= a_max, 1 <= b <= a/2 + 1.
-
-    Compared in exact integer arithmetic: binomial(a, b) * b^b >= a^b.
-    """
-    if a_max < 2:
-        raise DomainError(f"check_binomial_floor needs a_max >= 2, got {a_max}")
-    for a in range(2, a_max + 1):
-        for b in range(1, a // 2 + 2):
-            if binomial(a, b) * b**b < a**b:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -442,76 +427,3 @@ def enumerate_certificate(
         all_at_most_x=all_at_most_x,
         all_criterion_valid=all_valid,
     )
-
-
-@dataclass(frozen=True)
-class ExponentRow:
-    """Realized exponent of one certificate against its schedule's target."""
-
-    x: str
-    r: int
-    s: int
-    feasible: bool
-    pi: int
-    A: int
-    log10_count: float
-    exponent: float | None
-    target: float | None
-
-
-def exponent_report(
-    x_values: Sequence[Threshold | str | int],
-    kind: str,
-    *,
-    u: float | None = None,
-    r: int | None = None,
-    s: int | None = None,
-) -> list[ExponentRow]:
-    """Certify each x and report the realized exponent.
-
-    For t1 and manual schedules the exponent is log(count)/log(x) (target
-    1 - u when u is known).  For t2 it is the equivalent decay constant d
-    with count = x * e^(-d log x logloglog x / loglog x).  No convergence
-    is asserted; this is a comparison table.
-    """
-    rows = []
-    for raw in x_values:
-        x = _as_threshold(raw)
-        if kind == SCHEDULE_T1:
-            sched = Schedule.t1(x, u)
-        elif kind == SCHEDULE_T2:
-            sched = Schedule.t2(x)
-        elif kind == SCHEDULE_MANUAL:
-            if r is None or s is None:
-                raise DomainError("manual exponent reports need r and s")
-            sched = Schedule.manual(x, r, s)
-        else:
-            raise DomainError(f"unknown schedule kind {kind!r}")
-        cert = certify_lower_bound(sched)
-        feasible = cert.infeasible_reason is None
-        exponent = None
-        target = None
-        if feasible and cert.count >= 1:
-            ln_count = math.log(cert.count) if cert.count > 1 else 0.0
-            if kind == SCHEDULE_T2:
-                ll = math.log(x.log)
-                lll = math.log(ll)
-                exponent = (x.log - ln_count) * ll / (x.log * lll)
-            else:
-                exponent = ln_count / x.log
-                if kind == SCHEDULE_T1:
-                    target = 1.0 - u
-        rows.append(
-            ExponentRow(
-                x=x.text,
-                r=cert.r,
-                s=cert.s,
-                feasible=feasible,
-                pi=cert.pi,
-                A=cert.A,
-                log10_count=cert.log10_count,
-                exponent=exponent,
-                target=target,
-            )
-        )
-    return rows

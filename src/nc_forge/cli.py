@@ -190,7 +190,7 @@ def _cmd_smooth_rho(args) -> int:
 def _cmd_conjecture(args) -> int:
     zs = _parse_z_values(args.z)
     rule = parse_y_rule(args.y_rule)
-    tables = build_tables(max(max(zs), 2), memory_budget=args.limit_memory)
+    tables = build_tables(max([2, *zs]), memory_budget=args.limit_memory)
     rows = conjecture_table(zs, rule, tables)
     if args.format == "json":
         _emit(rows_to_json(rows))

@@ -207,11 +207,3 @@ def member_to_dict(member: FamilyMember, d_text: str | None = None) -> dict:
         "subset": list(member.subset),
         "E": int_to_decimal(member.value),
     }
-
-
-def member_from_dict(data: dict, base: ConstructionBase, pset: ShiftedSmoothSet) -> FamilyMember:
-    """Rebuild a member from its JSON form, checking the recorded products."""
-    member = build_member(base, data["subset"], pset)
-    if int_to_decimal(member.base.value) != data["D"] or int_to_decimal(member.value) != data["E"]:
-        raise DomainError("serialized member is inconsistent with its base and subset")
-    return member

@@ -2,9 +2,10 @@
 
 A positive integer n is Novak-Carmichael when a^n = 1 (mod n) for every a
 coprime to n; equivalently, every prime p dividing n satisfies (p-1) | n.
-Three independent routes decide membership: the divisor criterion, the
-defining congruence, and divisibility of n by the Carmichael function.
-n = 1 counts as a member (the defining congruence holds vacuously).
+Two routes decide membership here: the divisor criterion, and
+divisibility of n by the Carmichael function.  The test suite checks both
+against the defining congruence itself (tests/oracles.py).  n = 1 counts
+as a member (the defining congruence holds vacuously).
 
 Counting and listing rest on the structure the criterion forces.  Let S be
 the set of prime factors of n > 1.  Then n is a member exactly when S is
@@ -24,18 +25,16 @@ import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .errors import DomainError, ResourceError, show_int
+from .errors import DomainError, show_int
 from .sieve import FactorTable, check_ceiling, prime_powers, sieve_primes
 from .smoothness import count_smooth
-
-DEFINITION_ORACLE_LIMIT = 10**7
 
 
 class NovakVerdict(NamedTuple):
     """Membership verdict with a checkable witness on rejection.
 
-    witness_kind is "prime" (a prime p | n with (p-1) not dividing n) or
-    "base" (an a coprime to n with a^n != 1 mod n); None when is_nc is True.
+    witness_kind is "prime" (a prime p | n with (p-1) not dividing n); None
+    when is_nc is True.
     """
 
     n: int
@@ -62,24 +61,6 @@ def is_nc_criterion(n: int, table: FactorTable | None = None) -> NovakVerdict:
         if p > 2 and n % (p - 1):
             return NovakVerdict(n, False, "prime", p)
     return NovakVerdict(n, True)
-
-
-def is_nc_definition(n: int) -> NovakVerdict:
-    """Defining congruence, tested for every base coprime to n.
-
-    Desk-scale oracle: n above 10^7 raises ResourceError.  The witness is
-    the smallest failing base.
-    """
-    if n < 1:
-        raise DomainError(f"is_nc_definition needs n >= 1, got {n}")
-    if n > DEFINITION_ORACLE_LIMIT:
-        raise ResourceError(
-            f"definitional check capped at {DEFINITION_ORACLE_LIMIT}; use the criterion"
-        )
-    for a in range(2, n):
-        if math.gcd(a, n) == 1 and pow(a, n, n) != 1:
-            return NovakVerdict(n=n, is_nc=False, witness_kind="base", witness=a)
-    return NovakVerdict(n=n, is_nc=True)
 
 
 def carmichael_lambda(n: int, table: FactorTable | None = None) -> int:

@@ -66,19 +66,13 @@ class PrimeTable:
             raise DomainError(f"pi({x}) not covered by a table with limit {self.limit}")
         return int(np.searchsorted(self.primes, x, side="right"))
 
-    def __contains__(self, p: int) -> bool:
-        if p > self.limit:
-            raise DomainError(f"{p} not covered by a table with limit {self.limit}")
-        i = int(np.searchsorted(self.primes, p))
-        return i < self.count and int(self.primes[i]) == p
-
 
 @dataclass(frozen=True, eq=False)
 class FactorTable:
     """Smallest prime factor of every n in [2, limit].
 
-    Internally only odd n are stored (even n map to 2 arithmetically);
-    the lookup contract is unaffected by the layout.
+    Only odd n are stored (even n have spf 2); prime_powers walks the
+    chain through spf_view.
     """
 
     limit: int
@@ -87,22 +81,6 @@ class FactorTable:
     @cached_property
     def spf_view(self) -> memoryview:
         return self.spf_odd.data  # indexing yields Python ints, not boxed numpy scalars
-
-    def spf(self, n: int) -> int:
-        if n < 2 or n > self.limit:
-            raise DomainError(f"spf({n}) outside table range [2, {self.limit}]")
-        return 2 if n % 2 == 0 else self.spf_view[n >> 1]
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization n = prod p_k^a_k with strictly increasing p_k."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        return math.prod(p**a for p, a in self.factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,10 +192,10 @@ def prime_powers(n: int, table: FactorTable | None = None) -> Iterator[tuple[int
     """
     if table is None:
         if n < 2:
-            raise DomainError(f"factorize({n}) needs n >= 2")
+            raise DomainError(f"prime_powers({n}) needs n >= 2")
         check_ceiling("n", n)
     elif n < 2 or n > table.limit:
-        raise DomainError(f"factorize({n}) outside table range [2, {table.limit}]")
+        raise DomainError(f"prime_powers({n}) outside table range [2, {table.limit}]")
     e = (n & -n).bit_length() - 1  # exponent of 2 in n
     m = n >> e
     if e:
@@ -243,8 +221,3 @@ def prime_powers(n: int, table: FactorTable | None = None) -> Iterator[tuple[int
             m //= p
             e += 1
         yield p, e
-
-
-def factorize(n: int, table: FactorTable | None = None) -> Factorization:
-    """Factor n >= 2 by prime_powers: the spf chain of a table, or trial division."""
-    return Factorization(n=n, factors=tuple(prime_powers(n, table)))

@@ -271,10 +271,11 @@ def conjecture_table(
     tables: Tables,
 ) -> list[ConjectureRow]:
     """Exact ratio rows: shifted-smooth primes over all primes vs smooth integers over z."""
-    if not z_values:
-        raise DomainError("conjecture_table needs at least one z value")
+    zs = sorted(int(z) for z in z_values)
+    if not zs or zs[0] < 2:
+        raise DomainError("conjecture_table needs z values, each at least 2")
     rows = []
-    for z in sorted(int(z) for z in z_values):
+    for z in zs:
         if z > tables.limit:
             raise DomainError(f"z={z} exceeds table limit {tables.limit}")
         y = y_rule.y_for(z)
@@ -328,10 +329,11 @@ def hildebrand_report(
     tables: Tables,
 ) -> list[HildebrandRow]:
     """Observed exponent e(z) = -log(psi/z) / (sqrt(log z) loglog z) at y = round(e^sqrt(log z))."""
-    if not z_values:
-        raise DomainError("hildebrand_report needs at least one z value")
+    zs = sorted(int(z) for z in z_values)
+    if not zs or zs[0] < 2:  # log(log z) needs z > 1
+        raise DomainError("hildebrand_report needs z values, each at least 2")
     rows = []
-    for z in sorted(int(z) for z in z_values):
+    for z in zs:
         lz = math.log(z)
         y = round(math.exp(math.sqrt(lz)))
         n_smooth = psi_count(z, y, tables.factors)

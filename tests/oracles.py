@@ -1,10 +1,11 @@
 """Brute-force reference implementations used to pin expected values.
 
 Everything here is deliberately slow and simple: trial division, a
-divisor-criterion sieve, subset products by itertools.combinations,
-Pascal's triangle, and a trapezoid solver of the integral form of the rho
-delay equation.  None of it shares code with the package under test;
-spf_many only reads a factor table's array.
+divisor-criterion sieve, the defining congruence over every base, subset
+products by itertools.combinations, Pascal's triangle, and a trapezoid
+solver of the integral form of the rho delay equation.  None of it shares
+code with the package under test; spf_many only reads a factor table's
+array.
 """
 
 import math
@@ -94,6 +95,11 @@ def nc_flags_sieve(x):
     return flags
 
 
+def definition_witness(n):
+    """Smallest base a coprime to n >= 1 with a^n != 1 (mod n); None when n is Novak-Carmichael."""
+    return next((a for a in range(2, n) if math.gcd(a, n) == 1 and pow(a, n, n) != 1), None)
+
+
 def criterion_over(n, primes):
     """Divisor criterion for n by trial division over primes: (p-1) | n for each prime p | n.
 
@@ -121,6 +127,16 @@ def pascal_binomial(n, k):
     for _ in range(n):
         row = [a + b for a, b in zip([0] + row, row + [0])]
     return row[k]
+
+
+def check_binomial_floor(a_max):
+    """binomial(a, b) >= (a/b)^b for all 2 <= a <= a_max, 1 <= b <= a/2 + 1.
+
+    Compared in exact integer arithmetic: binomial(a, b) * b^b >= a^b.
+    """
+    return all(
+        math.comb(a, b) * b**b >= a**b for a in range(2, a_max + 1) for b in range(1, a // 2 + 2)
+    )
 
 
 def group_exponent(n):

@@ -9,10 +9,10 @@ import json
 import math
 import time
 
-from nc_forge.certify import Schedule, certify_lower_bound, check_binomial_floor, enumerate_certificate
+from nc_forge.certify import Schedule, certify_lower_bound, enumerate_certificate
 from nc_forge.cli import EXIT_MISMATCH, EXIT_OK, run
 from nc_forge.construction import build_base, build_family, build_member, verify_family
-from nc_forge.novak import carmichael_lambda, count_nc, is_nc_criterion, is_nc_definition
+from nc_forge.novak import carmichael_lambda, count_nc, is_nc_criterion
 from nc_forge.sieve import sieve_primes
 from nc_forge.smoothness import (
     YRule,
@@ -23,7 +23,7 @@ from nc_forge.smoothness import (
     shifted_smooth_set,
 )
 
-from oracles import nc_flags_sieve
+from oracles import check_binomial_floor, definition_witness, nc_flags_sieve
 from test_construction import all_subsets
 
 
@@ -36,7 +36,7 @@ def test_oracle_triangle(tables_small):
     table = tables_small.factors
     for n in range(1, 5001):
         a = is_nc_criterion(n, table).is_nc
-        b = is_nc_definition(n).is_nc
+        b = definition_witness(n) is None
         c = n % carmichael_lambda(n, table) == 0
         assert a == b == c, f"oracle mismatch at n={n}"
     elapsed = time.perf_counter() - start

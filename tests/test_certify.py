@@ -12,9 +12,7 @@ from nc_forge.certify import (
     Schedule,
     binomial,
     certify_lower_bound,
-    check_binomial_floor,
     enumerate_certificate,
-    exponent_report,
     parse_threshold,
     schedule_params,
     verify_certificate,
@@ -24,7 +22,7 @@ from nc_forge.errors import DomainError, ResourceError
 from nc_forge.novak import count_nc, list_nc
 from nc_forge.smoothness import ShiftedSmoothSet
 
-from oracles import pascal_binomial
+from oracles import check_binomial_floor, pascal_binomial
 
 
 def test_binomial_examples():
@@ -101,6 +99,12 @@ def test_schedule_params_requires_x_16_for_formulas():
         schedule_params(Schedule.t2(15))
     # manual schedules work below 16
     assert schedule_params(Schedule.manual(10, 2, 2)) == (2, 2, True)
+
+
+def test_schedule_params_t1_overflow_is_a_resource_error():
+    for u in (0.001, 5e-324):  # 3.0 ** 1000 overflows; 1 / 5e-324 is inf, so s would be
+        with pytest.raises(ResourceError, match="schedule s overflows"):
+            schedule_params(Schedule.t1("10^30", u))
 
 
 def test_schedule_rejects_bad_u():
@@ -218,6 +222,17 @@ def test_verify_flags_any_mutated_field(field):
     assert mismatches
 
 
+@pytest.mark.parametrize("field", ["r", "s"])
+def test_infinite_r_or_s_is_a_named_mismatch(field):
+    data = json.loads(json.dumps(certify_lower_bound(Schedule.manual("10^30", 10, 100)).to_dict()))
+    data[field] = json.loads("1e400")
+    ok, mismatches = verify_certificate(data)
+    assert not ok
+    assert mismatches[0].startswith(f"unparseable field {field!r}")
+    with pytest.raises(DomainError, match="malformed certificate"):
+        LowerBoundCertificate.from_dict(data)
+
+
 def test_verify_flags_missing_and_extra_fields():
     cert = certify_lower_bound(Schedule.manual("10^30", 10, 100))
     data = cert.to_dict()
@@ -242,8 +257,6 @@ def test_binomial_floor_sweep():
     assert binomial(6, 3) == 20 >= (6 / 3) ** 3
     assert binomial(2, 1) == 2  # equality case
     assert check_binomial_floor(60)
-    with pytest.raises(DomainError):
-        check_binomial_floor(1)
 
 
 def test_enumeration_of_boundary_certificate():
@@ -331,22 +344,3 @@ def test_enumeration_of_zero_certificate_is_trivially_ok():
     cert = certify_lower_bound(Schedule.manual(10**6, 5, 3))
     assert enumerate_certificate(cert).ok
 
-
-def test_exponent_report_manual_row():
-    (row,) = exponent_report(["10^30"], "manual", r=10, s=100)
-    assert row.feasible
-    assert abs(row.exponent - math.log10(12376) / 30) < 1e-3
-    assert row.target is None
-
-
-def test_exponent_report_t1_rows():
-    rows = exponent_report(["10^30", "10^60"], "t1", u=0.5)
-    for row in rows:
-        assert row.target == 0.5
-        assert row.feasible
-
-
-def test_exponent_report_marks_infeasible_rows():
-    (row,) = exponent_report(["10^30"], "t2")
-    assert not row.feasible
-    assert row.exponent is None

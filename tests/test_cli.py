@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from nc_forge.certify import Schedule, certify_lower_bound
 from nc_forge.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, run
 from nc_forge.construction import build_base
 from nc_forge.sieve import sieve_primes
@@ -293,20 +295,56 @@ _FUZZ_TEXT = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+_FUZZ_JSON = st.one_of(
+    st.integers(min_value=-(10**20), max_value=10**20).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+    st.sampled_from(["1e400", "-1e400", "NaN", "Infinity", "null", "true", "[]", "{}", '"10"']),
+    st.text(max_size=8).map(json.dumps),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_cert(tmp_path_factory):
+    """The (10, 100) certificate at 10^30, and a file for its fuzzed copies."""
+    cert = certify_lower_bound(Schedule.manual("10^30", 10, 100)).to_dict()
+    return cert, tmp_path_factory.mktemp("fuzz") / "cert.json"
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    command=st.sampled_from(["nc check", "smooth rho", "conjecture", "construct", "certify"]),
+    command=st.sampled_from(
+        ["nc check", "smooth rho", "conjecture", "conjecture --z", "construct", "certify",
+         "certify --u", "verify"]
+    ),
     prefix=st.sampled_from(["", "fixed:", "power:"]),
     fixed=st.sampled_from([["--s", "100"], ["--r", "3"], ["--r", "10"]]),
     text=_FUZZ_TEXT,
+    field=st.sampled_from(["r", "s", "A"]),
+    value=_FUZZ_JSON,
 )
-def test_cli_fuzz_exits_with_a_documented_code(command, prefix, fixed, text):
+@example(command="certify --u", prefix="", fixed=["--s", "100"], text="0.001", field="r", value="0")
+@example(command="conjecture --z", prefix="", fixed=["--s", "100"], text="0", field="r", value="0")
+@example(command="conjecture --z", prefix="", fixed=["--s", "100"], text=",", field="r", value="0")
+@example(command="verify", prefix="", fixed=["--s", "100"], text="", field="r", value="1e400")
+@example(command="verify", prefix="", fixed=["--s", "100"], text="", field="s", value="1e400")
+def test_cli_fuzz_exits_with_a_documented_code(
+    fuzz_cert, command, prefix, fixed, text, field, value
+):
     if command == "nc check":
         argv = ["nc", "check", text]
     elif command == "smooth rho":
         argv = ["smooth", "rho", "--u", text]
     elif command == "conjecture":
         argv = ["conjecture", "--z", "100", "--y-rule", prefix + text]
+    elif command == "conjecture --z":
+        argv = ["conjecture", "--z", text, "--y-rule", "hild"]
+    elif command == "certify --u":
+        argv = ["certify", "--x", "10^30", "--schedule", "t1", "--u", text]
+    elif command == "verify":  # field's value replaced by the JSON text value
+        cert, path = fuzz_cert
+        blank = json.dumps({**cert, field: None})
+        path.write_text(blank.replace(f'"{field}": null', f'"{field}": {value}'))
+        argv = ["verify", "--cert", str(path)]
     else:  # one of --r/--s fuzzed, the other fixed
         fuzzed = "--r" if fixed[0] == "--s" else "--s"
         argv = [command, *fixed, fuzzed, text]
@@ -318,5 +356,7 @@ def test_cli_fuzz_exits_with_a_documented_code(command, prefix, fixed, text):
         code = run(argv)
     assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_RESOURCE, EXIT_MISMATCH)
     assert "Traceback" not in err.getvalue()
+    if command == "verify":
+        assert (code == EXIT_OK) == (json.loads(value) == cert[field])
     if command == "smooth rho" and code == EXIT_OK:
         assert not math.isnan(float(out.getvalue()))

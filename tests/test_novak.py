@@ -5,17 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nc_forge.errors import DomainError, ResourceError
-from nc_forge.novak import (
-    DEFINITION_ORACLE_LIMIT,
-    carmichael_lambda,
-    count_nc,
-    is_nc_criterion,
-    is_nc_definition,
-    list_nc,
-)
-from nc_forge.sieve import build_factor_table, factorize
+from nc_forge.novak import carmichael_lambda, count_nc, is_nc_criterion, list_nc
+from nc_forge.sieve import build_factor_table, prime_powers
 
-from oracles import group_exponent, nc_flags_sieve, trial_factorize
+from oracles import definition_witness, group_exponent, nc_flags_sieve, trial_factorize
 
 
 @pytest.fixture(scope="module")
@@ -59,15 +52,9 @@ def test_criterion_rejects_out_of_range(tables_small):
 
 
 def test_definition_examples():
-    assert is_nc_definition(1).is_nc
-    assert is_nc_definition(4).is_nc
-    v = is_nc_definition(3)
-    assert not v.is_nc and v.witness_kind == "base" and v.witness == 2
-
-
-def test_definition_respects_cap():
-    with pytest.raises(ResourceError):
-        is_nc_definition(DEFINITION_ORACLE_LIMIT + 1)
+    assert definition_witness(1) is None
+    assert definition_witness(4) is None
+    assert definition_witness(3) == 2
 
 
 def test_lambda_examples(tables_small):
@@ -121,7 +108,7 @@ def test_count_nondecreasing():
 
 
 def test_count_cross_checked_against_definition(tables_small):
-    want = sum(1 for n in range(1, 101) if is_nc_definition(n).is_nc)
+    want = sum(1 for n in range(1, 101) if definition_witness(n) is None)
     assert count_nc(100) == want == 23
 
 
@@ -129,7 +116,7 @@ def test_three_way_oracle_agreement(tables_small):
     t = tables_small.factors
     for n in range(1, 2001):
         a = is_nc_criterion(n, t).is_nc
-        b = is_nc_definition(n).is_nc
+        b = definition_witness(n) is None
         c = n % carmichael_lambda(n, t) == 0
         assert a == b == c, f"oracles disagree at n={n}"
 
@@ -146,7 +133,7 @@ def test_closure_under_prime_multiplication(tables_small):
     for n in list_nc(10**4):
         if n == 1:
             continue
-        fs = factorize(n, t).factors
+        fs = tuple(prime_powers(n, t))
         for p, _ in fs:
             m = n * p
             assert all(m % (q - 1) == 0 for q, _ in fs if q > 2), (n, p)
@@ -178,11 +165,11 @@ def test_witnesses_verify(tables_small, n):
     if not v.is_nc:
         assert n % v.witness == 0
         assert n % (v.witness - 1) != 0
-    w = is_nc_definition(n)
-    assert w.is_nc == v.is_nc
-    if not w.is_nc:
-        assert math.gcd(w.witness, n) == 1
-        assert pow(w.witness, n, n) != 1
+    w = definition_witness(n)
+    assert (w is None) == v.is_nc
+    if w is not None:
+        assert math.gcd(w, n) == 1
+        assert pow(w, n, n) != 1
 
 
 @settings(max_examples=200, deadline=None)

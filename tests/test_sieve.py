@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,8 @@ from nc_forge.sieve import (
     build_factor_table,
     build_tables,
     check_budget,
-    factorize,
     prime_count_bound,
+    prime_powers,
     sieve_primes,
 )
 from nc_forge.cli import PRIME_LIST_BYTES
@@ -45,8 +46,8 @@ def test_prime_table_pi_lookups():
     assert t.pi(100) == 25
     assert t.pi(2) == 1
     assert t.pi(1) == 0
-    assert 97 in t
-    assert 91 not in t
+    assert t.pi(97) - t.pi(96) == 1  # 97 is prime
+    assert t.pi(91) == t.pi(90)  # 91 = 7 * 13 is not
     with pytest.raises(DomainError):
         t.pi(1001)
 
@@ -84,21 +85,18 @@ def test_sieve_rejects_huge_limits():
 
 def test_factor_table_examples():
     t = build_factor_table(100)
-    assert t.spf(12) == 2
-    assert t.spf(9) == 3
-    assert t.spf(11) == 11
-    assert t.spf(91) == 7
-    assert t.spf(2) == 2
+    assert spf_many(t, np.array([12, 9, 11, 91, 2])).tolist() == [2, 3, 11, 7, 2]
 
 
 def test_factor_table_prime_fixed_points():
     t = build_factor_table(1000)
     primes = set(trial_primes(1000))
     for n in range(2, 1001):
+        spf = next(prime_powers(n, t))[0]
         if n in primes:
-            assert t.spf(n) == n
+            assert spf == n
         else:
-            assert t.spf(n) < n
+            assert spf < n
 
 
 def test_factor_table_matches_trial_division():
@@ -158,8 +156,7 @@ def test_uint64_table_reads_like_uint32(tables_small):
     t64 = FactorTable(limit=t32.limit, spf_odd=t32.spf_odd.astype(np.uint64))
     assert t32.spf_odd.dtype == np.uint32 and t64.spf_view.format != t32.spf_view.format
     for n in range(2, t32.limit + 1):
-        assert t64.spf(n) == t32.spf(n)
-        assert factorize(n, t64) == factorize(n, t32)
+        assert tuple(prime_powers(n, t64)) == tuple(prime_powers(n, t32))
         assert is_nc_criterion(n, t64) == is_nc_criterion(n, t32)
     primes = tables_small.primes
     for x, y in ((2, 1), (100, 3), (5000, 70), (t32.limit, 97), (t32.limit, t32.limit)):
@@ -190,21 +187,21 @@ def test_factor_table_memory_budget_points_at_segmented_mode():
 
 def test_factorize_examples(tables_small):
     t = tables_small.factors
-    assert factorize(12, t).factors == ((2, 2), (3, 1))
-    assert factorize(2520, t).factors == ((2, 3), (3, 2), (5, 1), (7, 1))
+    assert tuple(prime_powers(12, t)) == ((2, 2), (3, 1))
+    assert tuple(prime_powers(2520, t)) == ((2, 3), (3, 2), (5, 1), (7, 1))
     assert 8 * 9 * 5 * 7 == 2520
-    assert factorize(97, t).factors == ((97, 1),)
+    assert tuple(prime_powers(97, t)) == ((97, 1),)
 
 
 def test_factorize_rejects_out_of_range(tables_small):
     for bad in (0, 1, tables_small.factors.limit + 1):
         with pytest.raises(DomainError):
-            factorize(bad, tables_small.factors)
+            tuple(prime_powers(bad, tables_small.factors))
     for bad in (0, 1):
         with pytest.raises(DomainError):
-            factorize(bad)
+            tuple(prime_powers(bad))
     with pytest.raises(ResourceError):
-        factorize((1 << 40) + 1)
+        tuple(prime_powers((1 << 40) + 1))
 
 
 def test_factorize_reconstructs_exhaustively_to_1e6(tables_1e6):
@@ -231,13 +228,13 @@ def test_factorize_reconstructs_exhaustively_to_1e6(tables_1e6):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=2, max_value=10_000))
 def test_factorize_matches_trial_division(tables_small, n):
-    assert list(factorize(n, tables_small.factors).factors) == trial_factorize(n)
-    assert list(factorize(n).factors) == trial_factorize(n)
+    assert list(prime_powers(n, tables_small.factors)) == trial_factorize(n)
+    assert list(prime_powers(n)) == trial_factorize(n)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=2, max_value=10_000))
 def test_factorization_value_roundtrip(tables_small, n):
-    f = factorize(n, tables_small.factors)
-    assert f.value() == n
-    assert all(e >= 1 for _, e in f.factors)
+    f = tuple(prime_powers(n, tables_small.factors))
+    assert math.prod(p**e for p, e in f) == n
+    assert all(e >= 1 for _, e in f)

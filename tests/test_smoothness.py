@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from nc_forge import smoothness
 from nc_forge.errors import DomainError
 from nc_forge.novak import _smooth_numbers
-from nc_forge.sieve import build_tables, factorize
+from nc_forge.sieve import build_tables, prime_powers
 from nc_forge.smoothness import (
     CSV_HEADER,
     YRule,
@@ -37,7 +37,7 @@ def supports():
 @given(st.integers(min_value=2, max_value=10_000))
 def test_gpf_matches_trial_division(tables_small, n):
     """The spf chain ascends, so its last prime is the greatest prime factor."""
-    assert factorize(n, tables_small.factors).factors[-1][0] == trial_gpf(n)
+    assert tuple(prime_powers(n, tables_small.factors))[-1][0] == trial_gpf(n)
 
 
 def test_psi_examples(tables_small):
@@ -198,6 +198,14 @@ def test_conjecture_rows_examples(tables_small):
 def test_conjecture_rejects_empty_z(tables_small):
     with pytest.raises(DomainError):
         conjecture_table([], YRule(kind="fixed", value=10), tables_small)
+
+
+def test_tables_reject_z_below_2(tables_small):
+    for zs in ([0], [1, 100]):
+        with pytest.raises(DomainError, match="each at least 2"):
+            conjecture_table(zs, YRule(kind="hild"), tables_small)
+        with pytest.raises(DomainError, match="each at least 2"):
+            hildebrand_report(zs, tables_small)
 
 
 def test_conjecture_rows_sorted_by_z(tables_small):
