@@ -14,6 +14,12 @@ A is the exact maximum of a with D * s^a <= x, capped at pi.  Floating
 point only proposes the starting point; integer comparisons settle it.
 Degenerate schedules (r < 2, or D > x) produce an explanatory
 zero-certificate rather than an error.
+
+Every comparison with x goes through Threshold.covers.  For x = e^k the
+threshold holds integers lo <= floor(e^k) <= hi from one 128-bit interval
+exp, which settles a comparison unless the compared integer falls inside
+[lo, hi]; only then, or when .value is read, is floor(e^k) computed to all
+of its digits.
 """
 
 from __future__ import annotations
@@ -42,18 +48,19 @@ GUARD_DIGITS = 30
 MAX_NOTATION_EXPONENT = 10**6
 ENUMERATION_CAP = 100_000  # members enumerate_certificate walks at most
 
-CERT_FIELDS = (
-    "x",
-    "r",
-    "s",
-    "pi",
-    "exponents",
-    "A",
-    "count",
-    "log10_count",
-    "max_member_check",
-    "lemma2_applicable",
-)
+_FIELD_PARSERS = {  # each certificate field and how from_dict reads it
+    "x": str,
+    "r": int,
+    "s": int,
+    "pi": int,
+    "exponents": lambda pairs: tuple((int(p), int(e)) for p, e in pairs),
+    "A": int,
+    "count": int_from_decimal,
+    "log10_count": float,
+    "max_member_check": bool,
+    "lemma2_applicable": bool,
+}
+CERT_FIELDS = tuple(_FIELD_PARSERS)
 
 _POW10_RE = re.compile(r"^10\^(\d+)$")
 _POWE_RE = re.compile(r"^e\^(\d+(?:\.\d+)?)$")
@@ -61,54 +68,85 @@ _POWE_RE = re.compile(r"^e\^(\d+(?:\.\d+)?)$")
 
 @dataclass(frozen=True)
 class Threshold:
-    """The bound x: exact integer value plus its original notation.
+    """The bound x: integers lo <= x <= hi plus its original notation.
 
-    text is echoed verbatim into certificates; log is the natural log as a
-    float, used only to propose parameters.
+    For digits, ints and 10^k, lo and hi are both x.  For e^k, x is
+    floor(e^k), and lo, hi are the floors of a proven enclosure of e^k, at
+    most a relative 2^-100 apart for k <= 10^6.  text is echoed verbatim
+    into certificates; log is the natural log as a float, used only to
+    propose parameters.
     """
 
     text: str
-    value: int
+    lo: int
+    hi: int
     log: float
+
+    def covers(self, n: int) -> bool:
+        """n <= x, exactly; computes value only when lo < n <= hi."""
+        if n <= self.lo:
+            return True
+        return n <= self.hi and n <= self.value
+
+    @functools.cached_property
+    def value(self) -> int:
+        """x itself; for e^k with lo < hi this is _floor_exp's full evaluation."""
+        return self.lo if self.lo == self.hi else _floor_exp(self.text[2:])
 
 
 def parse_threshold(notation: str | int) -> Threshold:
     """Parse x given as a decimal string, an int, 10^k, or e^k.
 
-    e^k is resolved to floor(e^k) with 30 guard digits, so the certificate
-    is checked against an exact integer either way.
+    e^k is bracketed by one 128-bit interval exp (_exp_bracket); the
+    threshold compares exactly either way, and computes floor(e^k) only
+    when a comparison falls inside the bracket.
     """
     if isinstance(notation, int):
         if notation < 1:
             raise DomainError(f"x must be positive, got {notation}")
-        return Threshold(text=int_to_decimal(notation), value=notation, log=math.log(notation))
+        return Threshold(int_to_decimal(notation), notation, notation, math.log(notation))
     text = notation.strip().replace("_", "")
     m = _POW10_RE.match(text)
     if m:
         k = int(m.group(1))
         if k > MAX_NOTATION_EXPONENT:
             raise ResourceError(f"10^{k} is beyond the supported notation range")
-        return Threshold(text=text, value=10**k, log=k * math.log(10.0))
+        return Threshold(text, 10**k, 10**k, k * math.log(10.0))
     m = _POWE_RE.match(text)
     if m:
         k = float(m.group(1))
         if k > MAX_NOTATION_EXPONENT:
             raise ResourceError(f"e^{m.group(1)} is beyond the supported notation range")
-        return Threshold(text=text, value=_floor_exp(m.group(1)), log=k)
+        return Threshold(text, *_exp_bracket(m.group(1)), k)
     if text.isdecimal():
         value = int_from_decimal(text)
         if value < 1:
             raise DomainError("x must be positive")
-        return Threshold(text=text, value=value, log=math.log(value))
+        return Threshold(text, value, value, math.log(value))
     raise DomainError(f"cannot parse threshold {notation!r}; use digits, 10^k, or e^k")
 
 
-@functools.lru_cache(maxsize=4)
+def _exp_bracket(k_text: str) -> tuple[int, int]:
+    """(lo, hi) with lo <= floor(e^k) <= hi, from mpmath's interval exp at 128 bits.
+
+    Interval arithmetic rounds outward, so e^k lies in [a, b] for the
+    computed endpoints, and floor(a) <= floor(e^k) <= floor(b).  A private
+    interval context keeps mpmath.iv's global precision untouched.
+    """
+    import mpmath  # only e^k needs it; importing it costs every CLI start
+
+    iv = type(mpmath.iv)()
+    iv.prec = 128
+    libmp = mpmath.libmp
+    a, b = iv.exp(iv.mpf(k_text))._mpi_  # the endpoints exactly, as raw mpf tuples
+    return libmp.to_int(a, libmp.round_floor), libmp.to_int(b, libmp.round_floor)
+
+
 def _floor_exp(k_text: str) -> int:
     """floor(e^k) for the exponent text k, with GUARD_DIGITS guard digits.
 
-    Memoised: a certificate's x is parsed again by verify_certificate and
-    enumerate_certificate, and mpmath takes 0.06 s at e^100000.
+    Runs only for Threshold.value: mpmath takes 0.19 s at e^100000 and
+    about 12 s at e^999999.
     """
     digits = int(float(k_text) / math.log(10.0)) + GUARD_DIGITS
     import mpmath  # only e^k needs it; importing it costs every CLI start
@@ -162,7 +200,7 @@ def schedule_params(sched: Schedule) -> tuple[int, int, bool]:
     if sched.kind == SCHEDULE_MANUAL:
         r, s = int(sched.r), int(sched.s)
         return r, s, 2 <= r <= s
-    if sched.x.value < 16:
+    if not sched.x.covers(16):
         raise DomainError(f"formula schedules need x >= 16, got x={sched.x.value}")
     big_l = sched.x.log
     ll = math.log(big_l)
@@ -228,22 +266,16 @@ class LowerBoundCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LowerBoundCertificate":
-        try:
-            return cls(
-                x=str(data["x"]),
-                r=int(data["r"]),
-                s=int(data["s"]),
-                pi=int(data["pi"]),
-                exponents=tuple((int(p), int(e)) for p, e in data["exponents"]),
-                A=int(data["A"]),
-                count=int_from_decimal(data["count"]),
-                log10_count=float(data["log10_count"]),
-                max_member_check=bool(data["max_member_check"]),
-                lemma2_applicable=bool(data["lemma2_applicable"]),
-                infeasible_reason=data.get("infeasible_reason"),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # JSON's 1e400 is inf
-            raise DomainError(f"malformed certificate: {exc}") from exc
+        """Read a certificate dict; DomainError names the first missing or unparseable field."""
+        fields = {}
+        for key, parse in _FIELD_PARSERS.items():
+            if key not in data:
+                raise DomainError(f"malformed certificate: missing field {key!r}")
+            try:
+                fields[key] = parse(data[key])
+            except (TypeError, ValueError, OverflowError) as exc:  # JSON's 1e400 is inf
+                raise DomainError(f"malformed certificate: unparseable field {key!r}: {exc}") from exc
+        return cls(**fields, infeasible_reason=data.get("infeasible_reason"))
 
 
 def _zero_certificate(
@@ -286,7 +318,7 @@ def certify_lower_bound(
             x, r, s, reason=f"infeasible schedule: need 2 <= r <= s, got r={r}, s={s}"
         )
     base, pset = build_family(s, r, memory_budget=memory_budget)
-    if base.value > x.value:
+    if not x.covers(base.value):
         return _zero_certificate(
             x,
             r,
@@ -299,20 +331,20 @@ def certify_lower_bound(
     # Propose A by floats, then settle max{a : D * s^a <= x} exactly.
     a = max(0, math.floor((x.log - base.log_value) / math.log(s)))
     cur = base.value * s**a
-    while a > 0 and cur > x.value:
+    while a > 0 and not x.covers(cur):
         a -= 1
         cur //= s
-    while cur * s <= x.value:
+    while x.covers(cur * s):
         a += 1
         cur *= s
     a = min(a, pset.count)
 
     largest = [int(p) for p in pset.members[-a:]] if a else []
     product = math.prod(largest)
-    while a > 0 and base.value * product > x.value:
+    while a > 0 and not x.covers(base.value * product):
         product //= largest.pop(0)
         a -= 1
-    max_member_check = base.value * product <= x.value
+    max_member_check = x.covers(base.value * product)
     count = binomial(pset.count, a)
     return LowerBoundCertificate(
         x=x.text,
@@ -415,7 +447,7 @@ def enumerate_certificate(
     for subset, value in family_products(base.value, pset.members, cert.A):
         walked += 1
         seen.add(value)
-        if value > x.value:
+        if not x.covers(value):
             all_at_most_x = False
         all_valid = all_valid and member_passes_criterion(
             base, value, base_primes + subset, divides_base

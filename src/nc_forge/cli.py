@@ -28,7 +28,7 @@ from .construction import (
 )
 from .errors import DomainError, ResourceError
 from .novak import count_nc, is_nc_criterion, list_nc
-from .sieve import build_tables, check_budget, prime_count_bound
+from .sieve import build_tables, check_budget, check_ceiling, prime_count_bound
 from .smoothness import (
     YRule,
     conjecture_table,
@@ -47,6 +47,7 @@ EXIT_PIPE = 141  # what a shell reports for a writer that SIGPIPE ends
 
 CONSTRUCT_ALL_CAP = 20  # 2^pi members; refuse beyond this many set bits
 PRIME_LIST_BYTES = 48  # a listed prime: its sieve entry, a list slot and its int
+Z_VALUE_BYTES = 40  # a z of a range: its list slot and its int
 
 
 class _UsageError(Exception):
@@ -83,8 +84,12 @@ def parse_natural(text: str) -> int:
     return n
 
 
-def _parse_z_values(text: str) -> list[int]:
-    """Comma list ('10^4,10^5') or inclusive arithmetic range 'lo..hi..step'."""
+def _parse_z_values(text: str, memory_budget: int | None) -> list[int]:
+    """Comma list ('10^4,10^5') or inclusive arithmetic range 'lo..hi..step'.
+
+    A range meets the 2^40 ceiling and the memory budget, counted from lo,
+    hi and step, before its list is built.
+    """
     t = text.strip()
     if ".." in t:
         parts = t.split("..")
@@ -93,6 +98,8 @@ def _parse_z_values(text: str) -> list[int]:
         lo, hi, step = (parse_natural(p) for p in parts)
         if step < 1 or hi < lo:
             raise DomainError("range needs lo <= hi and step >= 1")
+        check_ceiling("z", hi)
+        check_budget({"z list": Z_VALUE_BYTES * ((hi - lo) // step + 1)}, memory_budget)
         return list(range(lo, hi + 1, step))
     return [parse_natural(p) for p in t.split(",") if p]
 
@@ -188,7 +195,7 @@ def _cmd_smooth_rho(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    zs = _parse_z_values(args.z)
+    zs = _parse_z_values(args.z, args.limit_memory)
     rule = parse_y_rule(args.y_rule)
     tables = build_tables(max([2, *zs]), memory_budget=args.limit_memory)
     rows = conjecture_table(zs, rule, tables)
@@ -308,7 +315,7 @@ def build_parser() -> _Parser:
     common.add_argument(
         "--limit-memory", type=parse_natural, default=None, metavar="BYTES",
         help="byte budget for the factor table and prime array a command builds, "
-        "and for smooth psi's prime list (default 2 GiB)",
+        "for smooth psi's prime list and conjecture's z range (default 2 GiB)",
     )
 
     # --help stops before the pipe note: perfbench/golden.json records its text byte for byte

@@ -61,13 +61,30 @@ def test_threshold_e_power_matches_high_precision_floor():
     assert t.log == 100.0
 
 
-def test_e_power_threshold_is_computed_once_per_process():
-    certify._floor_exp.cache_clear()
+@pytest.mark.parametrize("k", ["0", "1", "2.75", "0.1", "100", "1000", "1000.1", "2800.5", "28000"])
+def test_e_power_bracket_covers_exactly(k):
+    with mpmath.workdps(int(float(k) / math.log(10)) + 60):  # the guard-digit oracle above
+        exact = int(mpmath.floor(mpmath.exp(mpmath.mpf(k))))
+    t = parse_threshold(f"e^{k}")
+    assert t.lo <= exact <= t.hi
+    assert (t.hi - t.lo) << 100 <= t.lo  # narrow, so almost no comparison falls back
+    for n in {exact + d for d in range(-3, 4)} | {t.lo - 1, t.lo, t.hi, t.hi + 1}:
+        assert t.covers(n) == (n <= exact), n
+
+
+def test_e_power_round_trip_never_needs_the_exact_value(monkeypatch):
+    def refuse(k_text):
+        raise AssertionError(f"floor(e^{k_text}) computed")
+
+    monkeypatch.setattr(certify, "_floor_exp", refuse)
     cert = certify_lower_bound(Schedule.t1("e^1000", 0.5))
+    assert cert.count > 0
     assert verify_certificate(cert.to_dict())[0]
-    assert enumerate_certificate(cert).ok
-    info = certify._floor_exp.cache_info()
-    assert info.misses == 1 and info.hits >= 1
+    assert enumerate_certificate(cert.to_dict()).ok
+    big = certify_lower_bound(Schedule.t1("e^100000", 0.5))
+    assert verify_certificate(json.loads(json.dumps(big.to_dict())))[0]
+    with pytest.raises(AssertionError, match="computed"):  # the patch is live
+        parse_threshold("e^1000").value
 
 
 def test_threshold_rejects_garbage():
@@ -229,8 +246,11 @@ def test_infinite_r_or_s_is_a_named_mismatch(field):
     ok, mismatches = verify_certificate(data)
     assert not ok
     assert mismatches[0].startswith(f"unparseable field {field!r}")
-    with pytest.raises(DomainError, match="malformed certificate"):
+    named = f"malformed certificate: unparseable field {field!r}: cannot convert float infinity"
+    with pytest.raises(DomainError, match=named):
         LowerBoundCertificate.from_dict(data)
+    with pytest.raises(DomainError, match=named):
+        enumerate_certificate(data)
 
 
 def test_verify_flags_missing_and_extra_fields():

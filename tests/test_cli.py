@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,24 @@ def test_conjecture_range_and_json(capsys):
     )
     rows = json.loads(out)
     assert [r["z"] for r in rows] == [100, 200, 300]
+
+
+def test_conjecture_range_is_charged_before_its_list_is_built(capsys):
+    # 999 999 z values hold about 40 MB as a list; the refusal comes before any of it.
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(
+            capsys, "conjecture", "--z", "2..10^6..1", "--y-rule", "hild", "--limit-memory", "10^6"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert "z list 39999960 bytes exceed the 1000000-byte budget" in err
+    assert peak < 4 * 10**6
+    code, out, err = invoke(capsys, "conjecture", "--z", "2..10^13..10^12", "--y-rule", "hild")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert "z=10000000000000 exceeds the supported ceiling 2^40" in err
 
 
 def test_construct_member(capsys):
@@ -303,6 +322,16 @@ _FUZZ_JSON = st.one_of(
 )
 
 
+_CERTIFY_X_CODES = {"e^999999": EXIT_OK, "e^1000001": EXIT_RESOURCE, "e^": EXIT_DOMAIN, "e^0": EXIT_OK}
+
+
+def _fuzz_example(command, text, notation="", field="r", value="0"):
+    return example(
+        command=command, prefix="", notation=notation, fixed=["--s", "100"], text=text,
+        field=field, value=value,
+    )
+
+
 @pytest.fixture(scope="module")
 def fuzz_cert(tmp_path_factory):
     """The (10, 100) certificate at 10^30, and a file for its fuzzed copies."""
@@ -314,21 +343,26 @@ def fuzz_cert(tmp_path_factory):
 @given(
     command=st.sampled_from(
         ["nc check", "smooth rho", "conjecture", "conjecture --z", "construct", "certify",
-         "certify --u", "verify"]
+         "certify --u", "certify --x", "verify"]
     ),
     prefix=st.sampled_from(["", "fixed:", "power:"]),
+    notation=st.sampled_from(["", "e^", "10^"]),
     fixed=st.sampled_from([["--s", "100"], ["--r", "3"], ["--r", "10"]]),
     text=_FUZZ_TEXT,
     field=st.sampled_from(["r", "s", "A"]),
     value=_FUZZ_JSON,
 )
-@example(command="certify --u", prefix="", fixed=["--s", "100"], text="0.001", field="r", value="0")
-@example(command="conjecture --z", prefix="", fixed=["--s", "100"], text="0", field="r", value="0")
-@example(command="conjecture --z", prefix="", fixed=["--s", "100"], text=",", field="r", value="0")
-@example(command="verify", prefix="", fixed=["--s", "100"], text="", field="r", value="1e400")
-@example(command="verify", prefix="", fixed=["--s", "100"], text="", field="s", value="1e400")
+@_fuzz_example("certify --u", "0.001")
+@_fuzz_example("conjecture --z", "0")
+@_fuzz_example("conjecture --z", ",")
+@_fuzz_example("verify", "", value="1e400")
+@_fuzz_example("verify", "", field="s", value="1e400")
+@_fuzz_example("certify --x", "999999", notation="e^")
+@_fuzz_example("certify --x", "1000001", notation="e^")
+@_fuzz_example("certify --x", "", notation="e^")
+@_fuzz_example("certify --x", "0", notation="e^")
 def test_cli_fuzz_exits_with_a_documented_code(
-    fuzz_cert, command, prefix, fixed, text, field, value
+    fuzz_cert, command, prefix, notation, fixed, text, field, value
 ):
     if command == "nc check":
         argv = ["nc", "check", text]
@@ -340,6 +374,8 @@ def test_cli_fuzz_exits_with_a_documented_code(
         argv = ["conjecture", "--z", text, "--y-rule", "hild"]
     elif command == "certify --u":
         argv = ["certify", "--x", "10^30", "--schedule", "t1", "--u", text]
+    elif command == "certify --x":
+        argv = ["certify", "--x", notation + text, "--r", "3", "--s", "10"]
     elif command == "verify":  # field's value replaced by the JSON text value
         cert, path = fuzz_cert
         blank = json.dumps({**cert, field: None})
@@ -360,3 +396,7 @@ def test_cli_fuzz_exits_with_a_documented_code(
         assert (code == EXIT_OK) == (json.loads(value) == cert[field])
     if command == "smooth rho" and code == EXIT_OK:
         assert not math.isnan(float(out.getvalue()))
+    if command == "certify --x" and notation + text in _CERTIFY_X_CODES:
+        assert code == _CERTIFY_X_CODES[notation + text]
+        if notation + text == "e^0":  # x = 1 lies below the base D = 72: a zero certificate
+            assert json.loads(out.getvalue())["count"] == "0"
