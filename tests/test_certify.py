@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import mpmath
 import pytest
@@ -13,6 +14,7 @@ from nc_forge.certify import (
     binomial,
     certify_lower_bound,
     enumerate_certificate,
+    pairwise_product,
     parse_threshold,
     schedule_params,
     verify_certificate,
@@ -301,6 +303,43 @@ def test_enumeration_flags_a_member_that_fails_the_criterion(monkeypatch):
     forged = ShiftedSmoothSet(x=100, y=10, members=members, count=len(members))
     monkeypatch.setattr(certify, "build_family", lambda s, r, memory_budget=None: (base, forged))
     assert not enumerate_certificate(cert).all_criterion_valid
+
+
+def test_enumeration_flags_a_prefix_that_d_does_not_divide(monkeypatch):
+    cert = certify_lower_bound(Schedule.manual("10^30", 10, 100))
+    walk = certify.family_blocks
+
+    def forged_walk(base_value, members, a):
+        blocks = walk(base_value, members, a)
+        chosen, prefix, tail = next(blocks)
+        assert prefix % base_value == 0
+        yield chosen, prefix - 1, tail  # odd, so D = 6350400 does not divide it
+        yield from blocks
+
+    monkeypatch.setattr(certify, "family_blocks", forged_walk)
+    report = enumerate_certificate(cert)
+    assert not report.all_criterion_valid
+    assert report.count_matches and report.distinct and report.all_at_most_x
+
+
+@pytest.mark.parametrize("a, walked", [(-1, 0), (0, 1), (1, 17), (17, 1), (18, 0)])
+def test_enumeration_of_a_forged_size_matches_the_walk(a, walked):
+    # The counts are those of a walk over the size-a subsets of P(100, 10), pi = 17.
+    cert = certify_lower_bound(Schedule.manual("10^30", 10, 100)).to_dict()
+    assert cert["pi"] == 17 and cert["count"] == "12376"
+    report = enumerate_certificate({**cert, "A": a})
+    assert report.members == walked == (math.comb(17, a) if a >= 0 else 0)
+    assert not report.count_matches
+    assert report.distinct and report.all_at_most_x and report.all_criterion_valid
+
+
+@pytest.mark.parametrize("n", [*range(10), 7428])
+def test_pairwise_product_matches_math_prod(n):
+    rng = random.Random(n)
+    values = [rng.getrandbits(20) for _ in range(n)]
+    given = list(values)
+    assert pairwise_product(given) == math.prod(values)
+    assert given == values  # certify_lower_bound pops from the list afterwards
 
 
 def test_enumeration_flags_a_member_above_x():

@@ -13,8 +13,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nc_forge.certify import Schedule, certify_lower_bound
-from nc_forge.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, run
+from nc_forge.cli import (
+    EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, parse_natural, run,
+)
 from nc_forge.construction import build_base
+from nc_forge.errors import DomainError, ResourceError
 from nc_forge.sieve import sieve_primes
 
 from oracles import family_products, shifted_smooth_primes
@@ -322,13 +325,59 @@ _FUZZ_JSON = st.one_of(
 )
 
 
+def _count_code(command, text):
+    """The exit code a count command owes its fuzzed argument text.
+
+    Only x and --limit meet the 2^40 ceiling; smooth pi needs x >= 2.
+    """
+    try:
+        n = parse_natural(text)
+    except DomainError:
+        return EXIT_DOMAIN
+    except ResourceError:
+        return EXIT_RESOURCE
+    if n < (2 if command == "smooth pi --x" else 1):
+        return EXIT_DOMAIN
+    return EXIT_RESOURCE if n > 1 << 40 and not command.endswith("--y") else EXIT_OK
+
+
+def _fast_count(text):
+    """False for a natural in (10^6, 2^40]: the count commands take seconds to hours there."""
+    try:
+        n = parse_natural(text)
+    except (DomainError, ResourceError):
+        return True
+    return n <= 10**6 or n > 1 << 40
+
+
+# Text for the count commands: naturals up to 10^6 run in milliseconds, and
+# x or --limit above 2^40 exits 2 at once.
+_FUZZ_COUNT_TEXT = st.one_of(
+    st.integers(min_value=-(10**6), max_value=10**6).map(str),
+    st.integers(min_value=(1 << 40) + 1, max_value=10**15).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "1e6", "1e13", "10^6", "10^13", "10^-3", "10^5000", "-0", "2^40", ""]),
+    st.text(max_size=8),
+).filter(_fast_count)
+
+# One argument fuzzed, the other fixed small: x = 10^4 or y = 5.
+_COUNT_ARGV = {
+    "nc count --limit": ["nc", "count", "--limit"],
+    "nc list --limit": ["nc", "list", "--limit"],
+    "smooth psi --x": ["smooth", "psi", "--y", "5", "--x"],
+    "smooth psi --y": ["smooth", "psi", "--x", "10^4", "--y"],
+    "smooth pi --x": ["smooth", "pi", "--y", "5", "--x"],
+    "smooth pi --y": ["smooth", "pi", "--x", "10^4", "--y"],
+}
+
+
 _CERTIFY_X_CODES = {"e^999999": EXIT_OK, "e^1000001": EXIT_RESOURCE, "e^": EXIT_DOMAIN, "e^0": EXIT_OK}
 
 
-def _fuzz_example(command, text, notation="", field="r", value="0"):
+def _fuzz_example(command, text, notation="", field="r", value="0", count_text="1"):
     return example(
         command=command, prefix="", notation=notation, fixed=["--s", "100"], text=text,
-        field=field, value=value,
+        field=field, value=value, count_text=count_text,
     )
 
 
@@ -339,11 +388,11 @@ def fuzz_cert(tmp_path_factory):
     return cert, tmp_path_factory.mktemp("fuzz") / "cert.json"
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=450, deadline=None)
 @given(
     command=st.sampled_from(
         ["nc check", "smooth rho", "conjecture", "conjecture --z", "construct", "certify",
-         "certify --u", "certify --x", "verify"]
+         "certify --u", "certify --x", "verify", *_COUNT_ARGV]
     ),
     prefix=st.sampled_from(["", "fixed:", "power:"]),
     notation=st.sampled_from(["", "e^", "10^"]),
@@ -351,6 +400,7 @@ def fuzz_cert(tmp_path_factory):
     text=_FUZZ_TEXT,
     field=st.sampled_from(["r", "s", "A"]),
     value=_FUZZ_JSON,
+    count_text=_FUZZ_COUNT_TEXT,
 )
 @_fuzz_example("certify --u", "0.001")
 @_fuzz_example("conjecture --z", "0")
@@ -361,10 +411,18 @@ def fuzz_cert(tmp_path_factory):
 @_fuzz_example("certify --x", "1000001", notation="e^")
 @_fuzz_example("certify --x", "", notation="e^")
 @_fuzz_example("certify --x", "0", notation="e^")
+@_fuzz_example("nc count --limit", "", count_text="10^6")
+@_fuzz_example("nc list --limit", "", count_text="1099511627777")
+@_fuzz_example("smooth psi --x", "", count_text="0")
+@_fuzz_example("smooth psi --y", "", count_text="10^5000")
+@_fuzz_example("smooth pi --x", "", count_text="10^6")
+@_fuzz_example("smooth pi --y", "", count_text="1e300")
 def test_cli_fuzz_exits_with_a_documented_code(
-    fuzz_cert, command, prefix, notation, fixed, text, field, value
+    fuzz_cert, command, prefix, notation, fixed, text, field, value, count_text
 ):
-    if command == "nc check":
+    if command in _COUNT_ARGV:
+        argv = [*_COUNT_ARGV[command], count_text]
+    elif command == "nc check":
         argv = ["nc", "check", text]
     elif command == "smooth rho":
         argv = ["smooth", "rho", "--u", text]
@@ -394,6 +452,8 @@ def test_cli_fuzz_exits_with_a_documented_code(
     assert "Traceback" not in err.getvalue()
     if command == "verify":
         assert (code == EXIT_OK) == (json.loads(value) == cert[field])
+    if command in _COUNT_ARGV:
+        assert code == _count_code(command, count_text)
     if command == "smooth rho" and code == EXIT_OK:
         assert not math.isnan(float(out.getvalue()))
     if command == "certify --x" and notation + text in _CERTIFY_X_CODES:

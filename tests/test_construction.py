@@ -10,6 +10,7 @@ from nc_forge.construction import (
     build_base,
     build_family,
     build_member,
+    family_blocks,
     family_products,
     int_from_decimal,
     member_to_dict,
@@ -174,6 +175,14 @@ def test_family_products_match_combinations(tables_small, s, r, data):
     want = oracles.family_products(base.value, pset.members, a)
     assert list(family_products(base.value, pset.members, a)) == want
     assert len(want) == math.comb(pset.count, a)
+    blocks = list(family_blocks(base.value, pset.members, a))
+    for chosen, prefix, tail in blocks:
+        assert prefix == base.value * math.prod(chosen) and len(tail) > 0
+    expanded = [((*chosen, p), prefix * p) for chosen, prefix, tail in blocks for p in tail]
+    if a == 0:  # no last prime to vary: the one member, D, comes from family_products alone
+        assert blocks == [] and want == [((), base.value)]
+    else:
+        assert expanded == want
 
 
 def test_build_family_matches_its_parts(tables_small):
