@@ -7,8 +7,9 @@ at or below the threshold x (exact big-integer comparison, boundary E = x
 included).  Every size-A subset then yields a distinct member <= x, so
 binomial(pi, A) is a proven lower bound for the count up to x.  D and
 P(s, r) come from construction.build_family; enumeration walks at most
-ENUMERATION_CAP members in the blocks of construction.family_blocks and
-checks the divisor criterion once per distinct prime and once per block.
+ENUMERATION_CAP members with construction.family_products, one per
+itertools.combinations subset, and checks the divisor criterion once per
+distinct prime.
 
 A is the exact maximum of a with D * s^a <= x, capped at pi.  Floating
 point only proposes the starting point; integer comparisons settle it.
@@ -19,7 +20,7 @@ Every comparison with x goes through Threshold.covers.  For x = e^k the
 threshold holds integers lo <= floor(e^k) <= hi from one 128-bit interval
 exp, which settles a comparison unless the compared integer falls inside
 [lo, hi]; only then, or when .value is read, is floor(e^k) computed to all
-of its digits.
+of its digits, by the same interval exp at a precision that makes lo = hi.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .construction import build_family, family_blocks, int_from_decimal, int_to_decimal
+from .construction import build_family, family_products, int_from_decimal, int_to_decimal
 from .errors import DomainError, ResourceError
 
 binomial = math.comb
@@ -38,7 +39,6 @@ SCHEDULE_T1 = "t1"
 SCHEDULE_T2 = "t2"
 SCHEDULE_MANUAL = "manual"
 
-GUARD_DIGITS = 30
 MAX_NOTATION_EXPONENT = 10**6
 ENUMERATION_CAP = 100_000  # members enumerate_certificate walks at most
 
@@ -84,8 +84,17 @@ class Threshold:
 
     @functools.cached_property
     def value(self) -> int:
-        """x itself; for e^k with lo < hi this is _floor_exp's full evaluation."""
-        return self.lo if self.lo == self.hi else _floor_exp(self.text[2:])
+        """x itself; for e^k with lo < hi, _exp_bracket at doubling precision until lo = hi.
+
+        Starting at k / ln 2 + 64 bits, which covers the integer part of
+        e^k, one pass settles it unless e^k lies within 2^-64 of an integer.
+        """
+        lo, hi, k_text = self.lo, self.hi, self.text[2:]
+        bits = int(self.log / math.log(2.0)) + 64
+        while lo < hi:
+            lo, hi = _exp_bracket(k_text, bits)
+            bits *= 2
+        return lo
 
 
 def parse_threshold(notation: str | int) -> Threshold:
@@ -120,8 +129,8 @@ def parse_threshold(notation: str | int) -> Threshold:
     raise DomainError(f"cannot parse threshold {notation!r}; use digits, 10^k, or e^k")
 
 
-def _exp_bracket(k_text: str) -> tuple[int, int]:
-    """(lo, hi) with lo <= floor(e^k) <= hi, from mpmath's interval exp at 128 bits.
+def _exp_bracket(k_text: str, bits: int = 128) -> tuple[int, int]:
+    """(lo, hi) with lo <= floor(e^k) <= hi, from mpmath's interval exp at the given bits.
 
     Interval arithmetic rounds outward, so e^k lies in [a, b] for the
     computed endpoints, and floor(a) <= floor(e^k) <= floor(b).  A private
@@ -130,23 +139,10 @@ def _exp_bracket(k_text: str) -> tuple[int, int]:
     import mpmath  # only e^k needs it; importing it costs every CLI start
 
     iv = type(mpmath.iv)()
-    iv.prec = 128
+    iv.prec = bits
     libmp = mpmath.libmp
     a, b = iv.exp(iv.mpf(k_text))._mpi_  # the endpoints exactly, as raw mpf tuples
     return libmp.to_int(a, libmp.round_floor), libmp.to_int(b, libmp.round_floor)
-
-
-def _floor_exp(k_text: str) -> int:
-    """floor(e^k) for the exponent text k, with GUARD_DIGITS guard digits.
-
-    Runs only for Threshold.value: mpmath takes 0.19 s at e^100000 and
-    about 12 s at e^999999.
-    """
-    digits = int(float(k_text) / math.log(10.0)) + GUARD_DIGITS
-    import mpmath  # only e^k needs it; importing it costs every CLI start
-
-    with mpmath.workdps(digits + 10):
-        return int(mpmath.floor(mpmath.exp(mpmath.mpf(k_text))))
 
 
 @dataclass(frozen=True)
@@ -333,11 +329,8 @@ def certify_lower_bound(
         cur *= s
     a = min(a, pset.count)
 
-    largest = [int(p) for p in pset.members[-a:]] if a else []
-    product = pairwise_product(largest)
-    while a > 0 and not x.covers(base.value * product):
-        product //= largest.pop(0)
-        a -= 1
+    # Each member is <= s, so this holds by the choice of A; it is recorded, not repaired.
+    product = pairwise_product([int(p) for p in pset.members[-a:]] if a else [])
     max_member_check = x.covers(base.value * product)
     count = binomial(pset.count, a)
     return LowerBoundCertificate(
@@ -408,9 +401,9 @@ class EnumerationReport:
     members is the number of members walked; count_matches compares it with
     the certified count and distinct with the number of distinct values.
     all_criterion_valid means q - 1 divides D for every distinct prime q of
-    the members walked (the base primes, and all of P(s, r) when A >= 1),
-    and D divides every block prefix, so each member E = prefix * p passes
-    the divisor criterion: q - 1 divides E for every prime q of E.
+    the members walked (the base primes, and all of P(s, r) when A >= 1).
+    Each member is E = D * prod(subset), so D divides E and E passes the
+    divisor criterion: q - 1 divides E for every prime q of E.
     """
 
     members: int
@@ -431,7 +424,7 @@ def enumerate_certificate(
 ) -> EnumerationReport:
     """Walk all binomial(pi, A) members and check the certified properties.
 
-    The walk (family_blocks) must visit cert.count members, each distinct,
+    The walk (family_products) must visit cert.count members, each distinct,
     at most x and passing the divisor criterion (see EnumerationReport).
     Raises ResourceError when the member count exceeds ENUMERATION_CAP.
     """
@@ -446,24 +439,15 @@ def enumerate_certificate(
     x = parse_threshold(cert.x)
     base, pset = build_family(cert.s, cert.r, memory_budget=memory_budget)
 
-    d, covers = base.value, x.covers
-    # A = 0 walks one member, D itself, as the block D * 1.
-    blocks = family_blocks(d, pset.members, cert.A) if cert.A else [((), d, (1,))]
-    seen = set()
-    walked = 0
-    all_at_most_x = prefixes_valid = True
-    for _, prefix, tail in blocks:
-        values = [prefix * p for p in tail]
-        walked += len(values)
-        seen.update(values)
-        all_at_most_x = all_at_most_x and covers(max(values))
-        prefixes_valid = prefixes_valid and prefix % d == 0
+    d = base.value
+    values = [v for _, v in family_products(d, pset.members, cert.A)]
+    walked = len(values)
     # A walk with 1 <= A <= pi puts every member of P(s, r) in some subset.
     primes = (tuple(p for p, _ in base.exponents) + (pset.members if cert.A else ())) if walked else ()
     return EnumerationReport(
         members=walked,
         count_matches=walked == cert.count,
-        distinct=len(seen) == walked,
-        all_at_most_x=all_at_most_x,
-        all_criterion_valid=prefixes_valid and all(d % (q - 1) == 0 for q in primes),
+        distinct=len(set(values)) == walked,
+        all_at_most_x=not values or x.covers(max(values)),
+        all_criterion_valid=all(d % (q - 1) == 0 for q in primes),
     )

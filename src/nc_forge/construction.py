@@ -6,16 +6,16 @@ P(s, r) yields a Novak-Carmichael number: every prime q of the product has
 q - 1 composed of prime powers that already divide D.  All exponent decisions
 use exact integer comparisons; logarithms are informational only.
 build_family sets up D and P(s, r) for certificates, their enumeration and
-``nc-forge construct``; family_blocks walks every size-A member in blocks
-that share all primes but the last, and family_products lists those members
-one by one.  The divisor criterion is a fact about each prime q (q - 1
-divides D), so verify_family and the certificate enumeration check it once
-per distinct prime.
+``nc-forge construct``; family_products walks every size-A member, one
+itertools.combinations subset at a time.  The divisor criterion is a fact
+about each prime q (q - 1 divides D), so verify_family and the certificate
+enumeration check it once per distinct prime.
 """
 
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -108,55 +108,17 @@ def build_member(
     return FamilyMember(base=base, subset=chosen, value=value)
 
 
-def family_blocks(
-    base_value: int, members: Sequence[int], a: int
-) -> Iterator[tuple[tuple[int, ...], int, Sequence[int]]]:
-    """Yield blocks (chosen, prefix, tail) that together hold every size-a subset of members.
-
-    A block holds the subsets chosen + (p,) for p in tail, whose products are
-    prefix * p: chosen is a - 1 members, prefix = base_value * prod(chosen),
-    and tail, never empty, is the members after the last of chosen.  Blocks
-    come in itertools.combinations order, and none comes for a outside
-    [1, len(members)].  prefix[j] is D times the first j chosen primes; it is
-    rebuilt only when one of the first j positions advances.
-    """
-    n = len(members)
-    if not 1 <= a <= n:
-        return
-    k = a - 1  # chosen primes a block shares
-    head = list(range(k))  # their positions in members; head[j] ends at j + n - a
-    chosen: list[int] = []
-    prefix = [base_value]
-    moved = 0  # first head position whose prime and prefix are stale
-    while True:
-        del chosen[moved:], prefix[moved + 1 :]
-        for j in range(moved, k):
-            p = members[head[j]]
-            chosen.append(p)
-            prefix.append(prefix[j] * p)
-        yield tuple(chosen), prefix[-1], members[head[-1] + 1 if k else 0 :]
-        moved = k - 1
-        while moved >= 0 and head[moved] == moved + n - a:
-            moved -= 1
-        if moved < 0:
-            return
-        head[moved] += 1
-        for j in range(moved + 1, k):
-            head[j] = head[j - 1] + 1
-
-
 def family_products(
     base_value: int, members: Sequence[int], a: int
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (subset, D * prod(subset)) for every size-a subset of members.
 
-    The members of family_blocks one by one, in itertools.combinations order.
+    Subsets come in itertools.combinations order; none comes for a < 0
+    (where combinations raises) or a > len(members).
     """
-    if a == 0:
-        yield (), base_value
-    for chosen, prefix, tail in family_blocks(base_value, members, a):
-        for p in tail:
-            yield (*chosen, p), prefix * p
+    if a >= 0:
+        for subset in itertools.combinations(members, a):
+            yield subset, base_value * math.prod(subset)
 
 
 def verify_family(

@@ -5,9 +5,12 @@ Run it by name; the ``bench_`` prefix keeps it out of the default test run:
     PYTHONPATH=src python -m pytest tests/bench_enumerate.py
 
 The shapes are those of the benchmark's ``certify`` workload: the 12 376-member
-(10, 100) certificate at 10^30, the 30 876-member (30, 5000) certificate, and
-the t1 certificate at e^100000 with u = 0.5, whose A = 7 428 largest members
-are multiplied together.
+(10, 100) certificate at 10^30 and the manual (r, s, A) shapes (7, 150, 5),
+(20, 300, 3) and (30, 5000, 2) at x = D s^A, with 20 349, 14 190 and 30 876
+members; and the t1 certificate at e^100000 with u = 0.5, whose A = 7 428
+largest members are multiplied together.  The near-pi corner (1223, 1223)
+has pi = 200 and A = 198, so each of its 19 900 members multiplies D by 198
+primes.
 """
 
 import pytest
@@ -18,15 +21,26 @@ from nc_forge.construction import build_family
 ROUNDS = 10
 
 
-def _largest_shape():
-    base, _ = build_family(5000, 30)
-    return Schedule.manual(base.value * 5000**2, 30, 5000)
+def _shape(r, s, a=None):
+    """Schedule.manual(D s^a, r, s); a = None stands for pi - 2."""
+
+    def make():
+        base, pset = build_family(s, r)
+        return Schedule.manual(base.value * s ** (pset.count - 2 if a is None else a), r, s)
+
+    return make
 
 
 @pytest.mark.parametrize(
     "make_schedule, members",
-    [(lambda: Schedule.manual("10^30", 10, 100), 12_376), (_largest_shape, 30_876)],
-    ids=["r10-s100", "r30-s5000"],
+    [
+        (lambda: Schedule.manual("10^30", 10, 100), 12_376),
+        (_shape(7, 150, 5), 20_349),
+        (_shape(20, 300, 3), 14_190),
+        (_shape(30, 5000, 2), 30_876),
+        (_shape(1223, 1223), 19_900),
+    ],
+    ids=["r10-s100", "r7-s150", "r20-s300", "r30-s5000", "near-pi-s1223"],
 )
 def test_enumerate_certificate(benchmark, make_schedule, members):
     cert = certify_lower_bound(make_schedule())

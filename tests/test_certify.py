@@ -24,7 +24,7 @@ from nc_forge.errors import DomainError, ResourceError
 from nc_forge.novak import count_nc, list_nc
 from nc_forge.smoothness import ShiftedSmoothSet
 
-from oracles import check_binomial_floor, pascal_binomial
+from oracles import check_binomial_floor, pascal_binomial, shifted_smooth_primes
 
 
 def test_binomial_examples():
@@ -75,10 +75,14 @@ def test_e_power_bracket_covers_exactly(k):
 
 
 def test_e_power_round_trip_never_needs_the_exact_value(monkeypatch):
-    def refuse(k_text):
-        raise AssertionError(f"floor(e^{k_text}) computed")
+    bracket = certify._exp_bracket
 
-    monkeypatch.setattr(certify, "_floor_exp", refuse)
+    def refuse(k_text, bits=128):
+        if bits > 128:
+            raise AssertionError(f"floor(e^{k_text}) computed")
+        return bracket(k_text, bits)
+
+    monkeypatch.setattr(certify, "_exp_bracket", refuse)
     cert = certify_lower_bound(Schedule.t1("e^1000", 0.5))
     assert cert.count > 0
     assert verify_certificate(cert.to_dict())[0]
@@ -164,6 +168,26 @@ def test_a_selection_is_maximal_for_the_power_check():
         d = math.prod(p**e for p, e in cert.exponents)
         assert d * cert.s**cert.A <= x or cert.A == cert.pi
         assert d * cert.s ** (cert.A + 1) > x or cert.A + 1 > cert.pi
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.integers(min_value=1, max_value=10**40),
+    r=st.integers(min_value=2, max_value=300),
+    s=st.integers(min_value=2, max_value=300),
+)
+def test_a_is_the_capped_power_bound_and_the_largest_members_fit(x, r, s):
+    r, s = min(r, s), max(r, s)
+    cert = certify_lower_bound(Schedule.manual(x, r, s))
+    if cert.count == 0:
+        return
+    assert cert.max_member_check
+    d = math.prod(p**e for p, e in cert.exponents)
+    a = 0
+    while d * s ** (a + 1) <= x:
+        a += 1
+    assert cert.pi == len(shifted_smooth_primes(s, r))
+    assert cert.A == min(cert.pi, a)
 
 
 def test_closed_form_floor_holds_when_applicable():
@@ -305,23 +329,6 @@ def test_enumeration_flags_a_member_that_fails_the_criterion(monkeypatch):
     assert not enumerate_certificate(cert).all_criterion_valid
 
 
-def test_enumeration_flags_a_prefix_that_d_does_not_divide(monkeypatch):
-    cert = certify_lower_bound(Schedule.manual("10^30", 10, 100))
-    walk = certify.family_blocks
-
-    def forged_walk(base_value, members, a):
-        blocks = walk(base_value, members, a)
-        chosen, prefix, tail = next(blocks)
-        assert prefix % base_value == 0
-        yield chosen, prefix - 1, tail  # odd, so D = 6350400 does not divide it
-        yield from blocks
-
-    monkeypatch.setattr(certify, "family_blocks", forged_walk)
-    report = enumerate_certificate(cert)
-    assert not report.all_criterion_valid
-    assert report.count_matches and report.distinct and report.all_at_most_x
-
-
 @pytest.mark.parametrize("a, walked", [(-1, 0), (0, 1), (1, 17), (17, 1), (18, 0)])
 def test_enumeration_of_a_forged_size_matches_the_walk(a, walked):
     # The counts are those of a walk over the size-a subsets of P(100, 10), pi = 17.
@@ -339,7 +346,7 @@ def test_pairwise_product_matches_math_prod(n):
     values = [rng.getrandbits(20) for _ in range(n)]
     given = list(values)
     assert pairwise_product(given) == math.prod(values)
-    assert given == values  # certify_lower_bound pops from the list afterwards
+    assert given == values  # the input list is left as it was
 
 
 def test_enumeration_flags_a_member_above_x():
