@@ -300,6 +300,8 @@ def _cmd_verify(args) -> int:
         raise DomainError(f"cannot read certificate: {exc}") from exc
     except ValueError as exc:  # bad JSON, or a JSON number over the int/str digit limit
         raise DomainError(f"cannot parse certificate: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError("cannot parse certificate: not a JSON object")
     ok, mismatches = verify_certificate(data, memory_budget=args.limit_memory)
     if ok:
         print("ok")

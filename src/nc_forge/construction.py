@@ -6,10 +6,11 @@ P(s, r) yields a Novak-Carmichael number: every prime q of the product has
 q - 1 composed of prime powers that already divide D.  All exponent decisions
 use exact integer comparisons; logarithms are informational only.
 build_family sets up D and P(s, r) for certificates, their enumeration and
-``nc-forge construct``; family_products walks every size-A member, one
-itertools.combinations subset at a time.  The divisor criterion is a fact
-about each prime q (q - 1 divides D), so verify_family and the certificate
-enumeration check it once per distinct prime.
+``nc-forge construct``; family_products walks every size-A member for
+``construct --all``, one itertools.combinations subset at a time.  The
+divisor criterion is a fact about each prime q (q - 1 divides D), so
+verify_family and the certificate enumeration check it once per distinct
+prime.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -93,19 +93,21 @@ def build_member(
     pset: ShiftedSmoothSet,
 ) -> FamilyMember:
     """Multiply the base by a set of distinct primes drawn from pset."""
+    chosen = {int(p) for p in subset}
+    _check_drawn_from(base, pset, chosen)
+    return FamilyMember(base=base, subset=tuple(sorted(chosen)), value=base.value * math.prod(chosen))
+
+
+def _check_drawn_from(base: ConstructionBase, pset: ShiftedSmoothSet, primes: set[int]) -> None:
+    """DomainError unless pset was computed for the base's (s, r) and holds every prime of primes."""
     if pset.x != base.s or pset.y != base.r:
         raise DomainError(
             f"set mismatch: base is (s={base.s}, r={base.r}) but the prime set "
             f"was computed for (x={pset.x}, y={pset.y})"
         )
-    chosen = tuple(sorted({int(p) for p in subset}))
-    value = base.value
-    for p in chosen:
-        i = bisect_left(pset.members, p)  # members ascend
-        if i == len(pset.members) or pset.members[i] != p:
-            raise DomainError(f"prime {p} is not in the shifted-smooth set")
-        value *= p
-    return FamilyMember(base=base, subset=chosen, value=value)
+    foreign = primes.difference(pset.members)
+    if foreign:
+        raise DomainError(f"prime {min(foreign)} is not in the shifted-smooth set")
 
 
 def family_products(
@@ -130,11 +132,14 @@ def verify_family(
 
     The primes of E are the base primes and the subset, and D divides E, so
     this is the divisor criterion for each member, checked once per distinct
-    prime and with no factor table covering the huge member values.
+    prime and with no factor table covering the huge member values.  As in
+    build_member, a pset computed for another (s, r), or a subset prime
+    outside it, raises DomainError; membership is one set difference, and no
+    member value is built.
     """
-    primes = {p for p, _ in base.exponents}
-    for subset in subsets:
-        primes.update(build_member(base, subset, pset).subset)
+    primes = {int(p) for p in set().union(*subsets)}  # int() once per distinct prime
+    _check_drawn_from(base, pset, primes)
+    primes.update(p for p, _ in base.exponents)
     return all(base.value % (q - 1) == 0 for q in primes)
 
 

@@ -6,7 +6,9 @@ Run it by name; the ``bench_`` prefix keeps it out of the default test run:
 
 Each round parses a threshold e^k with a k no earlier round used, as a fresh
 process sees it, and certifies the t1 schedule at u = 0.5 below it, as the
-benchmark's ``certify`` workload does near e^28000 and at e^100000.
+benchmark's ``certify`` workload does near e^28000 and at e^100000.  The
+exact floor(e^k) (``Threshold.value``) is timed at the same two k, on a fresh
+threshold per round so that no round reads a cached value.
 """
 
 import itertools
@@ -27,3 +29,12 @@ def test_parse_and_certify_t1(benchmark, k):
         rounds=ROUNDS,
     )
     assert cert.count > 0 and cert.max_member_check
+
+
+@pytest.mark.parametrize("k", [28000, 100000])
+def test_exact_value(benchmark, k):
+    value = benchmark.pedantic(
+        lambda t: t.value, setup=lambda: ((parse_threshold(f"e^{k}"),), {}), rounds=ROUNDS
+    )
+    t = parse_threshold(f"e^{k}")
+    assert t.lo <= value <= t.hi

@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nc_forge import certify
 from nc_forge.certify import (
@@ -91,6 +96,52 @@ def test_e_power_round_trip_never_needs_the_exact_value(monkeypatch):
     assert verify_certificate(json.loads(json.dumps(big.to_dict())))[0]
     with pytest.raises(AssertionError, match="computed"):  # the patch is live
         parse_threshold("e^1000").value
+
+
+def floor_e_power(k_text):
+    """floor(e^k) from mpmath with guard digits, the oracle of the bracket tests."""
+    with mpmath.workdps(int(float(k_text) / math.log(10)) + 60):
+        return int(mpmath.floor(mpmath.exp(mpmath.mpf(k_text))))
+
+
+# k = m / 10^d with 0 <= k <= 30 000 and d <= 3, written as parse_threshold reads it.
+_E_EXPONENTS = st.integers(min_value=0, max_value=3).flatmap(
+    lambda d: st.integers(min_value=0, max_value=30_000 * 10**d).map(
+        lambda m: f"{m // 10**d}.{m % 10**d:0{d}d}" if d else str(m)
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=_E_EXPONENTS)
+@example(k="0")
+@example(k="0.001")
+@example(k="30000")
+def test_e_power_bracket_is_narrow_and_covers_the_floor(k):
+    lo, hi = certify._exp_bracket(k)
+    assert lo <= floor_e_power(k) <= hi
+    assert (hi - lo) << 100 <= lo
+
+
+@pytest.mark.parametrize("k", ["2.75", "1000.1", "28000"])
+def test_e_power_value_is_the_exact_floor(k):
+    assert parse_threshold(f"e^{k}").value == floor_e_power(k)
+
+
+def test_certificates_never_import_mpmath():
+    script = """
+import sys
+sys.modules["mpmath"] = None  # an import of mpmath now raises ImportError
+from nc_forge.certify import Schedule, certify_lower_bound, enumerate_certificate, verify_certificate
+cert = certify_lower_bound(Schedule.t1("e^1000", 0.5))
+assert cert.count > 0 and verify_certificate(cert.to_dict())[0] and enumerate_certificate(cert).ok
+assert certify_lower_bound(Schedule.t1("e^100000", 0.5)).max_member_check
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr
 
 
 def test_threshold_rejects_garbage():
@@ -279,6 +330,16 @@ def test_infinite_r_or_s_is_a_named_mismatch(field):
         enumerate_certificate(data)
 
 
+@pytest.mark.parametrize("data", [None, [1, 2], 5, "abc", [["x", "10^30"]]])
+def test_a_certificate_that_is_not_a_dict_is_a_domain_error(data):
+    with pytest.raises(DomainError, match="not a JSON object"):
+        LowerBoundCertificate.from_dict(data)
+    with pytest.raises(DomainError, match="not a JSON object"):
+        verify_certificate(data)
+    with pytest.raises(DomainError, match="not a JSON object"):
+        enumerate_certificate(data)
+
+
 def test_verify_flags_missing_and_extra_fields():
     cert = certify_lower_bound(Schedule.manual("10^30", 10, 100))
     data = cert.to_dict()
@@ -369,6 +430,21 @@ def test_enumeration_flags_a_repeated_prime(monkeypatch):
     assert report.members == cert.count + 1
     assert not report.distinct and not report.count_matches
     assert report.all_at_most_x and report.all_criterion_valid
+
+
+def test_enumeration_memory_does_not_grow_with_the_member_count():
+    # The near-pi corner (400, 400): pi = 78, A = 76, 3 003 members of about 1.4 KB each.
+    base, pset = build_family(400, 400)
+    cert = certify_lower_bound(Schedule.manual(base.value * 400 ** (pset.count - 2), 400, 400))
+    assert (cert.pi, cert.A, cert.count) == (78, 76, 3003)
+    tracemalloc.start()
+    try:
+        report = enumerate_certificate(cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.members == 3003
+    assert peak < 64 * 1024  # a walk that keeps every value peaks near 0.7 MB here
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nc_forge.certify import Schedule, certify_lower_bound
+from nc_forge.certify import CERT_FIELDS, Schedule, certify_lower_bound
 from nc_forge.cli import (
     EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, parse_natural, run,
 )
@@ -325,6 +325,17 @@ _FUZZ_JSON = st.one_of(
 )
 
 
+# Whole certificate files: any JSON value, its objects keyed mostly by certificate fields.
+_FUZZ_DOCUMENT = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(10**20), max_value=10**20) | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from([*CERT_FIELDS, "infeasible_reason"]) | st.text(max_size=4), inner, max_size=6
+    ),
+    max_leaves=12,
+)
+
+
 def _count_code(command, text):
     """The exit code a count command owes its fuzzed argument text.
 
@@ -374,10 +385,10 @@ _COUNT_ARGV = {
 _CERTIFY_X_CODES = {"e^999999": EXIT_OK, "e^1000001": EXIT_RESOURCE, "e^": EXIT_DOMAIN, "e^0": EXIT_OK}
 
 
-def _fuzz_example(command, text, notation="", field="r", value="0", count_text="1"):
+def _fuzz_example(command, text, notation="", field="r", value="0", count_text="1", document=None):
     return example(
         command=command, prefix="", notation=notation, fixed=["--s", "100"], text=text,
-        field=field, value=value, count_text=count_text,
+        field=field, value=value, count_text=count_text, document=document,
     )
 
 
@@ -392,7 +403,7 @@ def fuzz_cert(tmp_path_factory):
 @given(
     command=st.sampled_from(
         ["nc check", "smooth rho", "conjecture", "conjecture --z", "construct", "certify",
-         "certify --u", "certify --x", "verify", *_COUNT_ARGV]
+         "certify --u", "certify --x", "verify", "verify --document", *_COUNT_ARGV]
     ),
     prefix=st.sampled_from(["", "fixed:", "power:"]),
     notation=st.sampled_from(["", "e^", "10^"]),
@@ -401,7 +412,13 @@ def fuzz_cert(tmp_path_factory):
     field=st.sampled_from(["r", "s", "A"]),
     value=_FUZZ_JSON,
     count_text=_FUZZ_COUNT_TEXT,
+    document=_FUZZ_DOCUMENT,
 )
+@_fuzz_example("verify --document", "", document=None)
+@_fuzz_example("verify --document", "", document=[1, 2])
+@_fuzz_example("verify --document", "", document="abc")
+@_fuzz_example("verify --document", "", document=5)
+@_fuzz_example("verify --document", "", document={"x": "10^30", "r": [], "s": {}})
 @_fuzz_example("certify --u", "0.001")
 @_fuzz_example("conjecture --z", "0")
 @_fuzz_example("conjecture --z", ",")
@@ -418,7 +435,7 @@ def fuzz_cert(tmp_path_factory):
 @_fuzz_example("smooth pi --x", "", count_text="10^6")
 @_fuzz_example("smooth pi --y", "", count_text="1e300")
 def test_cli_fuzz_exits_with_a_documented_code(
-    fuzz_cert, command, prefix, notation, fixed, text, field, value, count_text
+    fuzz_cert, command, prefix, notation, fixed, text, field, value, count_text, document
 ):
     if command in _COUNT_ARGV:
         argv = [*_COUNT_ARGV[command], count_text]
@@ -439,6 +456,12 @@ def test_cli_fuzz_exits_with_a_documented_code(
         blank = json.dumps({**cert, field: None})
         path.write_text(blank.replace(f'"{field}": null', f'"{field}": {value}'))
         argv = ["verify", "--cert", str(path)]
+    elif command == "verify --document":  # the whole file; with prefix "", objects overlay the certificate
+        cert, path = fuzz_cert
+        if isinstance(document, dict) and prefix == "":
+            document = {**cert, **document}
+        path.write_text(json.dumps(document))
+        argv = ["verify", "--cert", str(path)]
     else:  # one of --r/--s fuzzed, the other fixed
         fuzzed = "--r" if fixed[0] == "--s" else "--s"
         argv = [command, *fixed, fuzzed, text]
@@ -452,6 +475,9 @@ def test_cli_fuzz_exits_with_a_documented_code(
     assert "Traceback" not in err.getvalue()
     if command == "verify":
         assert (code == EXIT_OK) == (json.loads(value) == cert[field])
+    if command == "verify --document" and not isinstance(document, dict):
+        assert (code, out.getvalue()) == (EXIT_DOMAIN, "")
+        assert err.getvalue() == "error: cannot parse certificate: not a JSON object\n"
     if command in _COUNT_ARGV:
         assert code == _count_code(command, count_text)
     if command == "smooth rho" and code == EXIT_OK:

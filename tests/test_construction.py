@@ -85,6 +85,17 @@ def test_member_rejects_mismatched_set(tables_small):
         build_member(base, {5}, other)
 
 
+def test_verify_family_raises_the_member_errors(tables_small):
+    base = build_base(10, 3, tables_small.primes)
+    pset = shifted_smooth_set(10, 3, tables_small.primes, tables_small.factors)
+    other = shifted_smooth_set(100, 10, tables_small.primes, tables_small.factors)
+    with pytest.raises(DomainError, match="set mismatch"):
+        verify_family(base, other, [(5,)])
+    for foreign, named in (({11}, 11), ({4}, 4), ({5, 6}, 6), ({1}, 1)):
+        with pytest.raises(DomainError, match=f"^prime {named} is not in the shifted-smooth set$"):
+            verify_family(base, pset, [(2, 3), foreign])
+
+
 def test_family_exhaustive_for_small_set(tables_small):
     base = build_base(10, 3, tables_small.primes)
     pset = shifted_smooth_set(10, 3, tables_small.primes, tables_small.factors)
