@@ -5,11 +5,9 @@ from .certify import (
     LowerBoundCertificate,
     Schedule,
     Threshold,
-    binomial,
     certify_lower_bound,
     enumerate_certificate,
     parse_threshold,
-    schedule_params,
     verify_certificate,
 )
 from .construction import (

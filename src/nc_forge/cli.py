@@ -87,8 +87,8 @@ def parse_natural(text: str) -> int:
 def _parse_z_values(text: str, memory_budget: int | None) -> list[int]:
     """Comma list ('10^4,10^5') or inclusive arithmetic range 'lo..hi..step'.
 
-    A range meets the 2^40 ceiling and the memory budget, counted from lo,
-    hi and step, before its list is built.
+    Either form meets the 2^40 ceiling as z; a range meets it and the memory
+    budget, counted from lo, hi and step, before its list is built.
     """
     t = text.strip()
     if ".." in t:
@@ -101,7 +101,9 @@ def _parse_z_values(text: str, memory_budget: int | None) -> list[int]:
         check_ceiling("z", hi)
         check_budget({"z list": Z_VALUE_BYTES * ((hi - lo) // step + 1)}, memory_budget)
         return list(range(lo, hi + 1, step))
-    return [parse_natural(p) for p in t.split(",") if p]
+    zs = [parse_natural(p) for p in t.split(",") if p]
+    check_ceiling("z", max(zs, default=0))
+    return zs
 
 
 def parse_y_rule(text: str) -> YRule:
@@ -176,6 +178,7 @@ def _cmd_smooth_psi(args) -> int:
 
 def _cmd_smooth_pi(args) -> int:
     x, y = parse_natural(args.x), parse_natural(args.y)
+    check_ceiling("x", x)
     tables = build_tables(max(x, 2), memory_budget=args.limit_memory)
     c = pi_smooth_count(x, y, tables.primes, tables.factors)
     if args.format == "json":

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, show_int
 from .smoothness import ShiftedSmoothSet, shifted_smooth_set
-from .sieve import PrimeTable, build_tables
+from .sieve import PrimeTable, build_tables, check_ceiling
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,10 @@ def build_family(
 ) -> tuple[ConstructionBase, ShiftedSmoothSet]:
     """D(s, r) and P(s, r), from tables up to max(s, 2).
 
-    The tables come first, so a limit or budget refusal (ResourceError)
-    precedes build_base's check of 2 <= r <= s (DomainError).
+    The tables come first, so a ceiling or budget refusal (ResourceError,
+    naming s) precedes build_base's check of 2 <= r <= s (DomainError).
     """
+    check_ceiling("s", s)
     tables = build_tables(max(s, 2), memory_budget=memory_budget)
     base = build_base(s, r, tables.primes)
     return base, shifted_smooth_set(s, r, tables.primes, tables.factors)

@@ -335,7 +335,7 @@ def hildebrand_report(
     rows = []
     for z in zs:
         lz = math.log(z)
-        y = round(math.exp(math.sqrt(lz)))
+        y = YRule("hild").y_for(z)
         n_smooth = psi_count(z, y, tables.factors)
         ratio = n_smooth / z
         exponent = -math.log(ratio) / (math.sqrt(lz) * math.log(lz))

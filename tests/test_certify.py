@@ -1,7 +1,7 @@
+import itertools
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 import tracemalloc
@@ -16,32 +16,32 @@ from nc_forge.certify import (
     ENUMERATION_CAP,
     LowerBoundCertificate,
     Schedule,
-    binomial,
     certify_lower_bound,
     enumerate_certificate,
-    pairwise_product,
     parse_threshold,
-    schedule_params,
     verify_certificate,
 )
 from nc_forge.construction import build_family, family_products
 from nc_forge.errors import DomainError, ResourceError
 from nc_forge.novak import count_nc, list_nc
+from nc_forge.sieve import sieve_primes
 from nc_forge.smoothness import ShiftedSmoothSet
 
-from oracles import check_binomial_floor, pascal_binomial, shifted_smooth_primes
+from oracles import check_binomial_floor, pascal_binomial, shifted_smooth_primes, trial_gpf
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def test_binomial_examples():
-    assert binomial(4, 2) == 6
-    assert binomial(17, 11) == 12376 == pascal_binomial(17, 11)
-    assert binomial(5, 9) == 0
+    assert math.comb(4, 2) == 6
+    assert math.comb(17, 11) == 12376 == pascal_binomial(17, 11)
+    assert math.comb(5, 9) == 0
 
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(min_value=0, max_value=40), k=st.integers(min_value=0, max_value=50))
 def test_binomial_matches_pascal(n, k):
-    assert binomial(n, k) == pascal_binomial(n, k)
+    assert math.comb(n, k) == pascal_binomial(n, k)
 
 
 def test_threshold_decimal_and_int():
@@ -151,34 +151,38 @@ def test_threshold_rejects_garbage():
 
 
 def test_schedule_params_t1_at_huge_x():
-    r, s, feasible = schedule_params(Schedule.t1(parse_threshold("e^10000"), 0.5))
-    assert (r, s, feasible) == (117, 13689, True)
+    sched = Schedule.t1(parse_threshold("e^10000"), 0.5)
+    assert (sched.r, sched.s) == (117, 13689)
     assert math.floor(10**4 / math.log(10**4) ** 2) == 117
 
 
 def test_schedule_params_t1_at_desk_scale():
-    r, s, feasible = schedule_params(Schedule.t1(10**6, 0.5))
-    assert (r, s, feasible) == (2, 4, True)
+    sched = Schedule.t1(10**6, 0.5)
+    assert (sched.r, sched.s) == (2, 4)
 
 
 def test_schedule_params_manual_passthrough():
-    assert schedule_params(Schedule.manual(10**6, 10, 100)) == (10, 100, True)
-    assert schedule_params(Schedule.manual(10**6, 5, 3)) == (5, 3, False)
+    sched = Schedule.manual(10**6, 10, 100)
+    assert (sched.r, sched.s) == (10, 100)
+    sched = Schedule.manual(10**6, 5, 3)  # held as given; certify_lower_bound reports r > s
+    assert (sched.r, sched.s) == (5, 3)
+    assert "need 2 <= r <= s" in certify_lower_bound(sched).infeasible_reason
 
 
 def test_schedule_params_requires_x_16_for_formulas():
     with pytest.raises(DomainError):
-        schedule_params(Schedule.t1(15, 0.5))
+        Schedule.t1(15, 0.5)
     with pytest.raises(DomainError):
-        schedule_params(Schedule.t2(15))
+        Schedule.t2(15)
     # manual schedules work below 16
-    assert schedule_params(Schedule.manual(10, 2, 2)) == (2, 2, True)
+    sched = Schedule.manual(10, 2, 2)
+    assert (sched.r, sched.s) == (2, 2)
 
 
 def test_schedule_params_t1_overflow_is_a_resource_error():
     for u in (0.001, 5e-324):  # 3.0 ** 1000 overflows; 1 / 5e-324 is inf, so s would be
         with pytest.raises(ResourceError, match="schedule s overflows"):
-            schedule_params(Schedule.t1("10^30", u))
+            Schedule.t1("10^30", u)
 
 
 def test_schedule_rejects_bad_u():
@@ -237,8 +241,20 @@ def test_a_is_the_capped_power_bound_and_the_largest_members_fit(x, r, s):
     a = 0
     while d * s ** (a + 1) <= x:
         a += 1
-    assert cert.pi == len(shifted_smooth_primes(s, r))
+    pset = shifted_smooth_primes(s, r)
+    assert cert.pi == len(pset)
     assert cert.A == min(cert.pi, a)
+    assert d * math.prod(pset[len(pset) - cert.A :]) <= x  # D times the A largest members
+
+
+def test_the_largest_members_fit_at_t1_e100000():
+    # trial_primes to s = 568 516 takes seconds; sieve_primes is tested against it in test_sieve.
+    cert = certify_lower_bound(Schedule.t1("e^100000", 0.5))
+    assert (cert.r, cert.s, cert.A) == (754, 568516, 7428) and cert.max_member_check
+    primes = reversed(sieve_primes(cert.s).primes.tolist())
+    largest = list(itertools.islice((p for p in primes if trial_gpf(p - 1) <= cert.r), cert.A))
+    d = math.prod(p**e for p, e in cert.exponents)
+    assert d * math.prod(largest) <= parse_threshold("e^100000").lo  # lo <= floor(e^100000)
 
 
 def test_closed_form_floor_holds_when_applicable():
@@ -350,6 +366,25 @@ def test_verify_flags_missing_and_extra_fields():
     assert not verify_certificate(data)[0]
 
 
+def _golden_schedule(key):
+    """The schedule a perfbench/golden.json cert key names: manual:r:s:x, t1:x:u or t2:x."""
+    kind, *args = key.split(":")
+    if kind == "manual":
+        r, s, x = args
+        return Schedule.manual(x, int(r), int(s))
+    if kind == "t1":
+        x, u = args
+        return Schedule.t1(x, float(u))
+    return Schedule.t2(*args)
+
+
+def test_every_golden_certificate_recomputes_equal():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["cert"]
+    assert len(golden) == 129
+    for key, want in golden.items():
+        assert certify_lower_bound(_golden_schedule(key)).to_dict() == want, key
+
+
 def test_verify_zero_certificates_roundtrip():
     for cert in (
         certify_lower_bound(Schedule.manual(10**6, 5, 3)),
@@ -361,8 +396,8 @@ def test_verify_zero_certificates_roundtrip():
 
 def test_binomial_floor_sweep():
     assert check_binomial_floor(4)
-    assert binomial(6, 3) == 20 >= (6 / 3) ** 3
-    assert binomial(2, 1) == 2  # equality case
+    assert math.comb(6, 3) == 20 >= (6 / 3) ** 3
+    assert math.comb(2, 1) == 2  # equality case
     assert check_binomial_floor(60)
 
 
@@ -399,15 +434,6 @@ def test_enumeration_of_a_forged_size_matches_the_walk(a, walked):
     assert report.members == walked == (math.comb(17, a) if a >= 0 else 0)
     assert not report.count_matches
     assert report.distinct and report.all_at_most_x and report.all_criterion_valid
-
-
-@pytest.mark.parametrize("n", [*range(10), 7428])
-def test_pairwise_product_matches_math_prod(n):
-    rng = random.Random(n)
-    values = [rng.getrandbits(20) for _ in range(n)]
-    given = list(values)
-    assert pairwise_product(given) == math.prod(values)
-    assert given == values  # the input list is left as it was
 
 
 def test_enumeration_flags_a_member_above_x():

@@ -100,9 +100,22 @@ def test_conjecture_range_is_charged_before_its_list_is_built(capsys):
     assert (code, out) == (EXIT_RESOURCE, "")
     assert "z list 39999960 bytes exceed the 1000000-byte budget" in err
     assert peak < 4 * 10**6
-    code, out, err = invoke(capsys, "conjecture", "--z", "2..10^13..10^12", "--y-rule", "hild")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        ("certify --x 10^30 --r 10 --s 10^13", "s"),
+        ("construct --r 2 --s 10^13", "s"),
+        ("smooth pi --x 10^13 --y 5", "x"),
+        ("conjecture --z 10^13 --y-rule hild", "z"),
+        ("conjecture --z 2..10^13..10^12 --y-rule hild", "z"),
+    ],
+)
+def test_the_ceiling_error_names_the_argument_given(capsys, argv, name):
+    code, out, err = invoke(capsys, *argv.split())
     assert (code, out) == (EXIT_RESOURCE, "")
-    assert "z=10000000000000 exceeds the supported ceiling 2^40" in err
+    assert f"{name}=10000000000000 exceeds the supported ceiling 2^40" in err
 
 
 def test_construct_member(capsys):
