@@ -34,6 +34,7 @@ from .smoothness import (
     conjecture_table,
     dickman_rho,
     pi_smooth_count,
+    pi_table_bytes,
     psi_count,
     rows_to_csv,
     rows_to_json,
@@ -46,7 +47,7 @@ EXIT_MISMATCH = 3
 EXIT_PIPE = 141  # what a shell reports for a writer that SIGPIPE ends
 
 CONSTRUCT_ALL_CAP = 20  # 2^pi members; refuse beyond this many set bits
-PRIME_LIST_BYTES = 48  # a listed prime: its sieve entry, a list slot and its int
+PRIME_LIST_BYTES = 48  # a prime smooth psi lists: its sieve entry, a list slot and its int
 Z_VALUE_BYTES = 40  # a z of a range: its list slot and its int
 
 
@@ -166,8 +167,11 @@ def _cmd_nc_list(args) -> int:
 
 def _cmd_smooth_psi(args) -> int:
     x, y = parse_natural(args.x), parse_natural(args.y)
-    if y < x:  # psi_count lists the primes <= y; for y >= x it lists none
-        check_budget({"prime list": PRIME_LIST_BYTES * prime_count_bound(y)}, args.limit_memory)
+    if y < x:  # psi_count lists the primes <= y and builds a pi table; for y >= x neither
+        check_budget(
+            {"prime list": PRIME_LIST_BYTES * prime_count_bound(y), "pi table": pi_table_bytes(x, y)},
+            args.limit_memory,
+        )
     c = psi_count(x, y)
     if args.format == "json":
         _emit({"x": x, "y": y, "psi": c})
@@ -320,7 +324,7 @@ def build_parser() -> _Parser:
     common.add_argument(
         "--limit-memory", type=parse_natural, default=None, metavar="BYTES",
         help="byte budget for the factor table and prime array a command builds, "
-        "for smooth psi's prime list and conjecture's z range (default 2 GiB)",
+        "for smooth psi's prime list and pi table and conjecture's z range (default 2 GiB)",
     )
 
     # --help stops before the pipe note: perfbench/golden.json records its text byte for byte

@@ -1,11 +1,13 @@
 """Smooth-number counts, shifted-smooth prime sets, and the Dickman rho function.
 
-Psi(x, y) is counted from the primes <= y alone by count_smooth, whose terms
-over a range that the list covers in full are leaves.  Pi(x, y) and the set
-P(x, y) come from one walk up the spf chain of each p - 1 that stops at the
-first prime factor above y, PI_CHUNK primes at a time.  Dickman's rho is
-summed from a power series with positive coefficients on each unit interval,
-so its values carry relative, not absolute, accuracy.
+Psi(x, y) is counted by count_smooth from the primes <= y and a table of
+pi(x // j): a term whose range leaves each n room for at most one prime
+factor above the primes it allows is a leaf, summed from the table instead
+of recursed into.  Pi(x, y) and the set P(x, y) come from one walk up the
+spf chain of each p - 1 that stops at the first prime factor above y,
+PI_CHUNK primes at a time.  Dickman's rho is summed from a power series with
+positive coefficients on each unit interval, so its values carry relative,
+not absolute, accuracy.
 
 Conventions: the greatest prime factor of 1 is 1, so n = 1 counts as y-smooth
 for every y >= 1 and the prime 2 always belongs to the shifted-smooth set.
@@ -89,17 +91,82 @@ class YRule:
         return y
 
 
+def _next_prime(n: int) -> int:
+    """The least prime above n >= 1, by trial division."""
+    q = n + 1
+    while q > 2 and any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
+        q += 1
+    return q
+
+
+def _pi_entries(x: int, limit: int) -> tuple[int, int, int]:
+    """(n, j0, j1) of the pi table of x up to limit: n small entries, large j0..j1; see _pi_table."""
+    r = math.isqrt(x)
+    return min(r, limit) + 1, x // (limit + 1) + 1, x // (r + 1)
+
+
+def _pi_table(x: int, limit: int, primes: Sequence[int]) -> tuple[memoryview, memoryview, int]:
+    """pi(v) for every v = x // j <= limit, as (small, large, j0).
+
+    small[v] = pi(v) for v <= min(isqrt(x), limit); large[j - j0] = pi(x // j) for
+    j0 <= j <= x // (isqrt(x) + 1), the j with isqrt(x) < x // j <= limit.  Legendre's
+    recurrence in Lucy's form (Lagarias, Miller and Odlyzko, Math. Comp. 44, 1985):
+    S(v) starts at v - 1, and each prime p <= sqrt(limit) in turn strikes the
+    S(v // p) - S(p - 1) numbers left in [2, v] whose smallest prime factor is p,
+    for every v >= p^2.  v // p of a value x // j is x // (j p), again in the set.
+    primes must hold every prime <= sqrt(limit).  Beside the table's int64 entries,
+    no update holds temporaries of more than half as many.  Both views index to
+    Python ints.
+    """
+    n, j0, j1 = _pi_entries(x, limit)
+    small = np.arange(-1, n - 1, dtype=np.int64)
+    small[0] = 0
+    large = np.arange(j0, max(j0, j1 + 1), dtype=np.int64)
+    np.floor_divide(x, large, out=large)
+    large -= 1
+    block = max(1, (n + len(large)) // 4)  # two temporaries of this many per gather
+    for c, p in enumerate(primes):  # c = S(p - 1), the primes below p
+        pp = p * p
+        if pp > limit:
+            break
+        hi = min(j1, x // pp)  # the large values x // j >= p^2
+        mid = min(hi, j1 // p)  # up to here x // (j p) is a large value too
+        if mid >= j0:
+            large[: mid - j0 + 1] -= large[j0 * p - j0 : mid * p - j0 + 1 : p] - c
+        for lo in range(max(j0, mid + 1), hi + 1, block):
+            part = large[lo - j0 : min(hi, lo + block - 1) - j0 + 1]
+            part -= small[x // p // np.arange(lo, lo + len(part), dtype=np.int64)]
+            part += c
+        if pp < n:  # after the large values have read the old small ones
+            rows = (n - pp) // p  # v = p (p + i) + e, 0 <= e < p, reads S(p + i)
+            tail = int(small[p + rows]) - c
+            grid = small[pp : pp + p * rows].reshape(rows, p)
+            grid -= (small[p : p + rows] - c)[:, None]
+            small[pp + p * rows :] -= tail
+    return small.data, large.data, j0
+
+
 def count_smooth(x: int, primes: Sequence[int], complete: int = 0) -> int:
     """Count the n <= x (n = 1 included) whose prime factors all lie in primes (ascending).
 
     Grouping n > 1 by its largest prime factor p_j gives the memoised recursion
-    C(x, k) = 1 + sum over j < k with p_j <= x of C(x // p_j, j + 1) (Hildebrand and
-    Tenenbaum, JTNB 5, 1993).  Each level divides x by 2 or more: depth <= log2(x).
-    When primes holds every prime <= complete, a term C(m, k) with m <= complete
-    whose first k primes include all those <= m is a leaf: every n <= m counts,
-    so C(m, k) = m.
+    C(m, k) = 1 + sum over j < k with p_j <= m of C(m // p_j, j + 1) (Hildebrand and
+    Tenenbaum, JTNB 5, 1993).  Each level divides m by 2 or more: depth <= log2(x).
+    C(m, 1) counts the powers of p_0, m.bit_length() of them when p_0 = 2.
+
+    complete > 0 says that primes are exactly the primes <= complete; let p_k be
+    the first prime above complete when k = len(primes).  Then C(m, k) = m when
+    p_k > m, and C(m, k) is a leaf when p_k^2 > m: each n <= m has at most one
+    prime factor outside p_0..p_{k-1}, and it is p_k or more, so
+    C(m, k) = m - sum over t <= m // p_k of (pi(m // t) - k).
+    Every m // t is some x // j <= min(x, p_k^2 - 1), read from a _pi_table.
+    With complete = 0 no table is built and no term is a leaf.
     """
     memo: dict[tuple[int, int], int] = {}
+    if complete:
+        q = _next_prime(complete)
+        small, large, j0 = _pi_table(x, min(x, q * q - 1), primes)
+        r = math.isqrt(x)
 
     def count(m: int, k: int) -> int:
         below = bisect_right(primes, m)
@@ -107,22 +174,46 @@ def count_smooth(x: int, primes: Sequence[int], complete: int = 0) -> int:
             if m <= complete:
                 return m
             k = below  # primes above m divide no n <= m
+        if k == 1 and primes[0] == 2:
+            return m.bit_length()
         key = (m, k)
         total = memo.get(key)
         if total is None:
-            total = 1
-            for j in range(k):
-                total += count(m // primes[j], j + 1)
+            if complete and (p_k := q if k == len(primes) else primes[k]) ** 2 > m:
+                t_end = m // p_k
+                t_mid = min(t_end, m // (r + 1))  # up to here m // t > isqrt(x)
+                total = m + k * t_end
+                for t in range(1, t_mid + 1):
+                    total -= large[x // (m // t) - j0]
+                for t in range(t_mid + 1, t_end + 1):
+                    total -= small[m // t]
+            else:
+                total = 1
+                for j in range(k):
+                    total += count(m // primes[j], j + 1)
             memo[key] = total
         return total
 
     return count(x, len(primes))
 
 
-def psi_count(x: int, y: int, table: FactorTable | None = None) -> int:
-    """Count the y-smooth integers n <= x (n = 1 included), from the primes <= y alone.
+PI_ENTRY_BYTES = 12  # a pi-table entry: its int64 and at most half as much in temporaries
 
-    No table is read.  One that is passed bounds the domain: x above
+
+def pi_table_bytes(x: int, y: int) -> int:
+    """Bytes charged for the pi table that psi_count(x, y) builds, y < x."""
+    q = _next_prime(y)
+    n, j0, j1 = _pi_entries(x, min(x, q * q - 1))
+    return PI_ENTRY_BYTES * (n + max(0, j1 - j0 + 1))
+
+
+def psi_count(x: int, y: int, table: FactorTable | None = None) -> int:
+    """Count the y-smooth integers n <= x (n = 1 included), from the primes <= y and a pi table.
+
+    Beside the list of the primes <= y, count_smooth builds a table of pi(v) for the
+    v = x // j below q^2, q the first prime above y: min(isqrt(x), q^2 - 1) + 1 int64
+    entries for v <= isqrt(x) and one for each larger such v, at most isqrt(x).  No
+    factor table is read.  One that is passed bounds the domain: x above
     table.limit raises DomainError.  Without one, x above 2^40 raises ResourceError.
     For y >= x every n <= x counts, and x returns with no primes listed.
     """

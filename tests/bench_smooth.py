@@ -1,5 +1,5 @@
 """Microbenchmark of the smoothness layer: Pi(z, y) by the spf walk, Psi(z, y) by recursion
-and a cold Dickman rho.
+with pi-table leaves, and a cold Dickman rho.
 
 Run it by name; the ``bench_`` prefix keeps it out of the default test run:
 
@@ -7,8 +7,10 @@ Run it by name; the ``bench_`` prefix keeps it out of the default test run:
 
 z = 10^7 with the two y of the benchmark's ``smooth`` workload: the hild
 y = round(e^sqrt(log z)) = 55 and y = isqrt(z) = 3162.  The tables are built
-once, outside the timed calls.  rho(390), the far end of the workload's cold
-rho, runs each round on a fresh coefficient cache.
+once, outside the timed calls.  Psi(10^9, 31 622) and Psi(10^10, 10^5) are
+the large points, where y is near sqrt(x) and each count is mostly its pi
+table.  rho(390), the far end of the workload's cold rho, runs each round on
+a fresh coefficient cache.
 """
 
 import math
@@ -40,6 +42,13 @@ def test_pi_smooth_count(benchmark, tables, rule):
 def test_psi_count(benchmark, rule):
     y = YS[rule]
     assert benchmark(psi_count, Z, y) == PSI[y]
+
+
+@pytest.mark.parametrize(
+    "x, y, want", [(10**9, 31_622, 328_899_981), (10**10, 10**5, 3_265_474_310)], ids=["1e9", "1e10"]
+)
+def test_psi_count_large(benchmark, x, y, want):
+    assert benchmark.pedantic(psi_count, args=(x, y), rounds=3) == want
 
 
 def test_dickman_rho_cold(benchmark, monkeypatch):

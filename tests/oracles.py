@@ -1,14 +1,16 @@
 """Brute-force reference implementations used to pin expected values.
 
 Everything here is deliberately slow and simple: trial division, a
-divisor-criterion sieve, the defining congruence over every base, subset
-products by itertools.combinations, Pascal's triangle, and a trapezoid
-solver of the integral form of the rho delay equation.  None of it shares
+greatest-prime-factor sieve, a divisor-criterion sieve, the defining
+congruence over every base, subset products by itertools.combinations,
+Pascal's triangle, and a trapezoid solver of the integral form of the rho
+delay equation.  None of it shares
 code with the package under test; spf_many only reads a factor table's
 array.
 """
 
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -62,8 +64,20 @@ def trial_gpf(n):
     return trial_factorize(n)[-1][0]
 
 
+@lru_cache(maxsize=None)
+def gpf_sieve(limit):
+    """gpf[n] for n <= limit (gpf[1] = 1): each prime, ascending, overwrites its multiples."""
+    gpf = np.ones(limit + 1, dtype=np.int64)
+    for p in range(2, limit + 1):
+        if gpf[p] == 1:
+            gpf[p::p] = p
+    return gpf
+
+
 def smooth_count(x, y):
-    return sum(1 for n in range(1, x + 1) if trial_gpf(n) <= y)
+    """The n <= x (n = 1 included) whose greatest prime factor is at most y."""
+    gpf = gpf_sieve(max(1 << 12, 1 << (x - 1).bit_length()))  # one sieve serves many x
+    return int(np.count_nonzero(gpf[1 : x + 1] <= y))
 
 
 def shifted_smooth_primes(x, y):

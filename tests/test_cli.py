@@ -266,11 +266,17 @@ def test_memory_budget_flag(capsys):
     )
     assert code == EXIT_RESOURCE
     assert "factor table" in err and "prime array" in err
-    # Psi is counted from the primes <= y and builds no table, so the budget never binds.
+    # Psi builds no factor table: its prime list and its pi table of the v < 7^2 fit 1000 bytes.
     code, out, _ = invoke(
         capsys, "smooth", "psi", "--x", "10^6", "--y", "5", "--limit-memory", "1000"
     )
     assert (code, out) == (EXIT_OK, "507\n")  # the 5-smooth numbers <= 10^6
+    # At y near sqrt(x) the pi table holds 2 isqrt(x) entries: 2 * 10^6 of them at 10^12.
+    code, out, err = invoke(
+        capsys, "smooth", "psi", "--x", "10^12", "--y", "10^6", "--limit-memory", "10^7"
+    )
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert "+ pi table 24000000 bytes exceed" in err
 
 
 def test_smooth_psi_budget_bounds_its_prime_list(capsys):

@@ -19,8 +19,8 @@ from nc_forge.sieve import (
     prime_powers,
     sieve_primes,
 )
-from nc_forge.cli import PRIME_LIST_BYTES
-from nc_forge.smoothness import pi_smooth_count, shifted_smooth_set
+from nc_forge.cli import EXIT_OK, EXIT_RESOURCE, PRIME_LIST_BYTES, run
+from nc_forge.smoothness import pi_smooth_count, pi_table_bytes, psi_count, shifted_smooth_set
 
 from oracles import spf_many, trial_factorize, trial_primes, trial_spf
 
@@ -148,6 +148,23 @@ def test_build_tables_peak_is_within_what_the_budget_charged():
     assert peak <= charged
     with pytest.raises(ResourceError):
         build_tables(10**7, memory_budget=charged - 1)
+
+
+def test_psi_peak_is_within_what_the_budget_charged(capsys):
+    x, y = 10**9, 31_622
+    tracemalloc.start()
+    try:
+        assert psi_count(x, y) == 328_899_981
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    charged = PRIME_LIST_BYTES * prime_count_bound(y) + pi_table_bytes(x, y)
+    assert peak <= charged
+    argv = ["smooth", "psi", "--x", str(x), "--y", str(y), "--limit-memory"]
+    assert run([*argv, str(charged - 1)]) == EXIT_RESOURCE
+    assert "prime list" in capsys.readouterr().err
+    assert run([*argv, str(charged)]) == EXIT_OK
+    assert capsys.readouterr().out == "328899981\n"
 
 
 def test_uint64_table_reads_like_uint32(tables_small):

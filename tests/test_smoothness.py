@@ -47,14 +47,38 @@ def test_psi_examples(tables_small):
     assert psi_count(100, 1, t) == 1
 
 
+def icbrt(n):
+    c = round(n ** (1 / 3))
+    while c**3 > n:
+        c -= 1
+    while (c + 1) ** 3 <= n:
+        c += 1
+    return c
+
+
+def leaf_edges(test):
+    """Examples where count_smooth's leaves start: x next to q^2, q prime, with y at
+    q - 1, q and the prime below q; then y = isqrt(x) and y = icbrt(x)."""
+    for q in (3, 5, 31, 97, 997):
+        for x in (q * q - 1, q * q, q * q + 1):
+            for y in {q - 1, q, trial_primes(q - 1)[-1]}:
+                test = example(x=x, y=y)(test)
+    for x in (5_000, 123_457, 999_999, 10**6):
+        for y in (math.isqrt(x), icbrt(x)):
+            test = example(x=x, y=y)(test)
+    return test
+
+
 @settings(max_examples=100, deadline=None)
 @given(x=st.integers(min_value=1, max_value=3000), y=st.integers(min_value=1, max_value=3000))
 @example(x=300, y=2)
 @example(x=300, y=3)
 @example(x=300, y=7)
 @example(x=300, y=20)
+@leaf_edges
 def test_psi_matches_brute_force(tables_small, x, y):
-    assert psi_count(x, y, tables_small.factors) == smooth_count(x, y)
+    table = tables_small.factors if x <= tables_small.limit else None  # a table only bounds x
+    assert psi_count(x, y, table) == smooth_count(x, y)
 
 
 @settings(max_examples=100, deadline=None)
@@ -74,6 +98,11 @@ def test_psi_pinned_at_1e7(tables_1e7):
     assert psi_count(10**7, 55, f) == 115_696
     assert psi_count(10**7, 3162, f) == 3_362_157
     assert psi_count(10**7, 10**5, f) == 6_917_610
+
+
+def test_psi_pinned_above_the_tables():
+    """The top term is a leaf here: 31 627, the first prime above y, exceeds sqrt(10^9)."""
+    assert psi_count(10**9, 31_622) == 328_899_981
 
 
 def test_psi_equals_x_when_y_large(tables_small):
