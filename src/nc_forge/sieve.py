@@ -5,11 +5,18 @@ sieve_primes takes the base primes <= sqrt(limit) from one flag array and
 strikes their multiples out of the rest segment by segment, so its working
 set beyond the output is one segment; the primes do not depend on the
 segment size.
+
+A factor table holds, for each odd n <= limit, the smallest prime factor of
+n when n is composite and 0 when n is a prime or 1: 2 bytes an odd n below
+2^32, 4 bytes from there to 2^40.  One strike pass, STRIKE_BLOCK slots at a
+time, builds it; build_tables then reads the prime list off its zeros, so a
+matched pair costs one sieve.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,6 +26,8 @@ import numpy as np
 from .errors import DomainError, ResourceError, show_int
 
 SEGMENT_SIZE = 1 << 20  # flags per segment of the sieve above sqrt(limit)
+STRIKE_BLOCK = 1 << 19  # factor-table slots every base prime strikes before the next block
+EXTRACT_BLOCK = 1 << 16  # factor-table slots scanned at a time for the zeros that are primes
 MAX_LIMIT = 1 << 40
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes allowed for the big arrays of one call
 
@@ -69,14 +78,17 @@ class PrimeTable:
 
 @dataclass(frozen=True, eq=False)
 class FactorTable:
-    """Smallest prime factor of every n in [2, limit].
+    """Smallest prime factor of every composite n in [2, limit].
 
-    Only odd n are stored (even n have spf 2); prime_powers walks the
-    chain through spf_view.
+    Only odd n are stored (even n have spf 2).  A composite odd n holds its
+    spf, at most sqrt(limit): uint16 for limits below 2^32, uint32 up to
+    2^40.  A prime holds 0, and so does slot 0 (n = 1), so the spf of an odd
+    n >= 3 reads ``spf_odd[n >> 1] or n``.  prime_powers walks the chain
+    through spf_view.
     """
 
     limit: int
-    spf_odd: np.ndarray  # spf_odd[k] = smallest prime factor of 2k+1; slot 0 holds 1
+    spf_odd: np.ndarray  # spf_odd[k] = smallest prime factor of 2k+1 if composite, else 0
 
     @cached_property
     def spf_view(self) -> memoryview:
@@ -132,11 +144,55 @@ def sieve_primes(limit: int) -> PrimeTable:
 
 def _factor_table_dtype(limit: int) -> type:
     _check_limit(limit)
-    return np.uint32 if limit < 2**32 else np.uint64
+    return np.uint16 if limit < 2**32 else np.uint32  # spf <= sqrt(limit) fits
 
 
 def _factor_table_bytes(limit: int) -> int:
     return (limit + 1) // 2 * np.dtype(_factor_table_dtype(limit)).itemsize  # n = 1, 3, 5, ...
+
+
+def _strike_factor_table(limit: int) -> np.ndarray:
+    """The spf_odd array of a FactorTable: zeros, with each odd composite's spf struck in.
+
+    The odd primes p <= sqrt(limit) strike their odd multiples from p^2 on,
+    STRIKE_BLOCK slots at a time so that a block stays in cache while every
+    prime strikes it; within a block the largest prime goes first, so the
+    smallest wins.  Slot k holds n = 2k+1, and the odd multiples of p are the
+    slots k = p >> 1 (mod p).
+    """
+    spf_odd = np.zeros((limit + 1) // 2, dtype=_factor_table_dtype(limit))
+    base = _sieve_monolithic(math.isqrt(limit))[1:].tolist()
+    firsts = [(p * p) >> 1 for p in base]  # the slot of p^2
+    for lo in range(0, len(spf_odd), STRIKE_BLOCK):
+        block = spf_odd[lo : lo + STRIKE_BLOCK]
+        hi = lo + len(block)
+        for i in reversed(range(bisect_left(firsts, hi))):
+            p = base[i]
+            block[max(firsts[i], lo + ((p >> 1) - lo) % p) - lo :: p] = p
+    return spf_odd
+
+
+def _primes_from_zeros(spf_odd: np.ndarray) -> np.ndarray:
+    """The primes up to the table's limit, as int64, read off its zero slots.
+
+    The zeros are the odd primes and slot 0 (n = 1), so there are pi(limit)
+    of them and 2 takes the place of 1.  EXTRACT_BLOCK slots are counted at a
+    time, an exact array is allocated, and a second scan fills it.
+    """
+    count = sum(
+        int(np.count_nonzero(spf_odd[lo : lo + EXTRACT_BLOCK] == 0))
+        for lo in range(0, len(spf_odd), EXTRACT_BLOCK)
+    )
+    primes = np.empty(count, dtype=np.int64)
+    i = 0
+    for lo in range(0, len(spf_odd), EXTRACT_BLOCK):
+        slots = np.flatnonzero(spf_odd[lo : lo + EXTRACT_BLOCK] == 0)
+        out = primes[i : i + len(slots)]
+        np.multiply(slots, 2, out=out)
+        out += 2 * lo + 1
+        i += len(slots)
+    primes[0] = 2
+    return primes
 
 
 def build_factor_table(
@@ -146,8 +202,9 @@ def build_factor_table(
 ) -> FactorTable:
     """Build the smallest-prime-factor table for [2, limit], with no array beside it.
 
-    Each odd n starts as its own spf.  The odd primes p <= sqrt(limit) then
-    strike their odd multiples from p^2 on, largest first, so the smallest wins.
+    Every slot starts at 0; the odd primes p <= sqrt(limit) then strike their
+    odd multiples from p^2 on, largest first within each block, so the
+    smallest wins and the primes keep their 0.
 
     Parameters
     ----------
@@ -159,26 +216,29 @@ def build_factor_table(
         count_nc, list_nc, is_nc_criterion and psi_count need no table.
     """
     check_budget({"factor table": _factor_table_bytes(limit)}, memory_budget)
-    spf_odd = np.arange(1, limit + 1, 2, dtype=_factor_table_dtype(limit))
-    for p in reversed(_sieve_monolithic(math.isqrt(limit))[1:].tolist()):
-        spf_odd[(p * p) >> 1 :: p] = p
+    spf_odd = _strike_factor_table(limit)
     spf_odd.setflags(write=False)
     return FactorTable(limit=limit, spf_odd=spf_odd)
 
 
 def build_tables(limit: int, *, memory_budget: int | None = None) -> Tables:
-    """A matched PrimeTable/FactorTable pair.
+    """A matched PrimeTable/FactorTable pair from one strike pass.
 
-    The budget covers the factor table and the int64 prime array, sized by
-    prime_count_bound, and is checked before any sieve runs.
+    The prime list is read off the factor table's zeros.  The budget covers
+    the factor table and the int64 prime array, sized by prime_count_bound,
+    and is checked before the strike pass runs.
     """
     check_budget(
         {"factor table": _factor_table_bytes(limit), "prime array": 8 * prime_count_bound(limit)},
         memory_budget,
     )
+    spf_odd = _strike_factor_table(limit)
+    primes = _primes_from_zeros(spf_odd)
+    spf_odd.setflags(write=False)
+    primes.setflags(write=False)
     return Tables(
-        primes=sieve_primes(limit),
-        factors=build_factor_table(limit, memory_budget=memory_budget),
+        primes=PrimeTable(limit=limit, primes=primes, count=len(primes)),
+        factors=FactorTable(limit=limit, spf_odd=spf_odd),
     )
 
 
@@ -214,7 +274,7 @@ def prime_powers(n: int, table: FactorTable | None = None) -> Iterator[tuple[int
         return
     spf = table.spf_view
     while m > 1:
-        p = spf[m >> 1]
+        p = spf[m >> 1] or m  # 0 marks a prime
         m //= p
         e = 1
         while m % p == 0:

@@ -4,10 +4,10 @@ Psi(x, y) is counted by count_smooth from the primes <= y and a table of
 pi(x // j): a term whose range leaves each n room for at most one prime
 factor above the primes it allows is a leaf, summed from the table instead
 of recursed into.  Pi(x, y) and the set P(x, y) come from one walk up the
-spf chain of each p - 1 that stops at the first prime factor above y,
-PI_CHUNK primes at a time.  Dickman's rho is summed from a power series with
-positive coefficients on each unit interval, so its values carry relative,
-not absolute, accuracy.
+spf chain of each p - 1, PI_CHUNK primes at a time, that stops as soon as
+the cofactor left is at most y or a prime factor above y turns up.
+Dickman's rho is summed from a power series with positive coefficients on
+each unit interval, so its values carry relative, not absolute, accuracy.
 
 Conventions: the greatest prime factor of 1 is 1, so n = 1 counts as y-smooth
 for every y >= 1 and the prime 2 always belongs to the shifted-smooth set.
@@ -20,7 +20,7 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .sieve import FactorTable, PrimeTable, Tables, check_ceiling, sieve_primes
 logger = logging.getLogger(__name__)
 
 RHO_CUTOFF = 500.0  # beyond this the series is not built: rho underflows from about u = 132.8
-PI_CHUNK = 1 << 18  # primes per chunk of the shifted-smooth walk
+PI_CHUNK = 1 << 15  # primes per chunk of the shifted-smooth walk; its arrays stay in cache
 
 
 @dataclass(frozen=True)
@@ -212,9 +212,10 @@ def psi_count(x: int, y: int, table: FactorTable | None = None) -> int:
 
     Beside the list of the primes <= y, count_smooth builds a table of pi(v) for the
     v = x // j below q^2, q the first prime above y: min(isqrt(x), q^2 - 1) + 1 int64
-    entries for v <= isqrt(x) and one for each larger such v, at most isqrt(x).  No
-    factor table is read.  One that is passed bounds the domain: x above
-    table.limit raises DomainError.  Without one, x above 2^40 raises ResourceError.
+    entries for v <= isqrt(x) and one for each larger such v, at most isqrt(x).  The
+    primes <= y come from sieve_primes(y); no factor table is read, not even for its
+    zeros.  One that is passed bounds the domain: x above table.limit raises
+    DomainError.  Without one, x above 2^40 raises ResourceError.
     For y >= x every n <= x counts, and x returns with no primes listed.
     """
     if x < 1:
@@ -231,12 +232,17 @@ def psi_count(x: int, y: int, table: FactorTable | None = None) -> int:
     return count_smooth(x, sieve_primes(y).primes.tolist(), complete=y)
 
 
-def _shifted_smooth_primes(name: str, x: int, y: int, primes: PrimeTable, table: FactorTable):
-    """The primes p <= x whose shift p-1 is y-smooth, as an ascending array.
+def _shifted_smooth_masks(
+    name: str, x: int, y: int, primes: PrimeTable, table: FactorTable
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (chunk, mask) over the primes p <= x, PI_CHUNK at a time; mask marks y-smooth p-1.
 
-    Chunk by chunk, p-1 loses its factors of 2 at once; the rest of its spf
-    chain ascends, so an entry is dropped at the first odd factor above y and
-    kept when its chain reaches 1.  y < 2 keeps only p = 2.
+    p-1 loses its factors of 2 at once, and its odd cofactor m then walks up
+    the spf chain in uint32 values (uint64 from x > 2^32), whatever the
+    table's dtype.  An entry passes as soon as m <= y, since no factor of m
+    then exceeds y.  It fails at a 0 slot (m itself a prime, above y) or at an
+    spf above y.  Each step divides the entries still walking and compacts
+    them with one index.  y < 2 keeps only p = 2.
     """
     if x < 2 or y < 1:
         raise DomainError(f"{name} needs x >= 2 and y >= 1, got x={x}, y={y}")
@@ -244,32 +250,36 @@ def _shifted_smooth_primes(name: str, x: int, y: int, primes: PrimeTable, table:
         raise DomainError(f"x={x} exceeds table limits")
     ps = primes.primes[: primes.pi(x)]
     if y < 2:
-        return ps[:1]
-    y = min(y, x - 1)  # no factor of p-1 exceeds x-1, which fits the table's dtype
+        yield ps[:1], np.ones(1, dtype=bool)
+        return
+    y = min(y, x - 1)  # no factor of p-1 exceeds x-1
+    dtype = np.uint32 if x <= 2**32 else np.uint64
     spf_odd = table.spf_odd
-    parts = []
     for lo in range(0, len(ps), PI_CHUNK):
         chunk = ps[lo : lo + PI_CHUNK]
-        m = (chunk - 1).astype(spf_odd.dtype)
-        m //= m & (~m + 1)  # odd part
-        smooth = m == 1
-        idx = np.flatnonzero(~smooth)
+        m = chunk.astype(dtype)
+        m -= 1
+        low = np.negative(m)  # wraps: low & m is the lowest set bit of m
+        low &= m
+        m //= low  # the odd part
+        mask = m <= y
+        idx = np.flatnonzero(~mask)
         m = m[idx]
         while idx.size:
-            p = spf_odd[m >> 1]
-            m //= p
-            ok = p <= y
-            hit = ok & (m == 1)
-            smooth[idx[hit]] = True
-            ok ^= hit  # still walking
-            idx, m = idx[ok], m[ok]
-        parts.append(chunk[smooth])
-    return np.concatenate(parts)
+            spf = spf_odd[m >> 1]
+            ok = (spf != 0) & (spf <= y)
+            m //= np.maximum(spf, 1)  # m stays above y at a 0 slot or an spf above y
+            done = m <= y
+            mask[idx] = done
+            keep = np.flatnonzero(ok & ~done)
+            idx, m = idx[keep], m[keep]
+        yield chunk, mask
 
 
 def pi_smooth_count(x: int, y: int, primes: PrimeTable, table: FactorTable) -> int:
     """Count primes p <= x with p-1 being y-smooth."""
-    return len(_shifted_smooth_primes("pi_smooth_count", x, y, primes, table))
+    masks = _shifted_smooth_masks("pi_smooth_count", x, y, primes, table)
+    return sum(int(np.count_nonzero(mask)) for _, mask in masks)
 
 
 def shifted_smooth_set(
@@ -279,7 +289,8 @@ def shifted_smooth_set(
     table: FactorTable,
 ) -> ShiftedSmoothSet:
     """Materialise the set of primes p <= x with y-smooth shift p-1."""
-    members = tuple(_shifted_smooth_primes("shifted_smooth_set", x, y, primes, table).tolist())
+    masks = _shifted_smooth_masks("shifted_smooth_set", x, y, primes, table)
+    members = tuple(p for chunk, mask in masks for p in chunk[mask].tolist())
     return ShiftedSmoothSet(x=x, y=y, members=members, count=len(members))
 
 

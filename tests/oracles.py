@@ -51,10 +51,15 @@ def trial_spf(n):
 
 
 def spf_many(table, values):
-    """Vectorised smallest-prime-factor lookup in a FactorTable's odd-slot array; 2 <= v <= limit."""
+    """Vectorised smallest-prime-factor lookup in a FactorTable's odd-slot array; 2 <= v <= limit.
+
+    An odd slot holds 0 for a prime, whose smallest prime factor is the value itself.
+    """
     out = np.full(values.shape, 2, dtype=np.int64)
     odd = (values & 1).astype(bool)
     out[odd] = table.spf_odd[values[odd] >> 1]
+    prime = odd & (out == 0)
+    out[prime] = values[prime]
     return out
 
 

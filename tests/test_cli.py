@@ -260,9 +260,9 @@ def test_memory_budget_flag(capsys):
     )
     assert code == EXIT_RESOURCE
     assert "budget" in err
-    # The table alone fits 2 MB; the budget also counts the prime array beside it.
+    # The table alone fits 1 MB (2 bytes an odd n); the budget also counts the prime array beside it.
     code, _, err = invoke(
-        capsys, "smooth", "pi", "--x", "10^6", "--y", "5", "--limit-memory", "2000000"
+        capsys, "smooth", "pi", "--x", "10^6", "--y", "5", "--limit-memory", "1000000"
     )
     assert code == EXIT_RESOURCE
     assert "factor table" in err and "prime array" in err

@@ -86,6 +86,7 @@ def test_sieve_rejects_huge_limits():
 def test_factor_table_examples():
     t = build_factor_table(100)
     assert spf_many(t, np.array([12, 9, 11, 91, 2])).tolist() == [2, 3, 11, 7, 2]
+    assert t.spf_odd[[1 >> 1, 9 >> 1, 11 >> 1, 91 >> 1]].tolist() == [0, 3, 0, 7]
 
 
 def test_factor_table_prime_fixed_points():
@@ -100,9 +101,9 @@ def test_factor_table_prime_fixed_points():
 
 
 def test_factor_table_matches_trial_division():
-    """Every limit to 300 and 10^5: slot k holds spf(2k+1).  At limit = p^2 the
-    strike of p starts on the last slot; at p^2 - 1, p strikes nothing."""
-    want = [trial_spf(n) for n in range(1, 10**5 + 1, 2)]
+    """Every limit to 300 and 10^5: slot k holds spf(2k+1), or 0 when 2k+1 is a prime or 1.
+    At limit = p^2 the strike of p starts on the last slot; at p^2 - 1, p strikes nothing."""
+    want = [0 if trial_spf(n) == n else trial_spf(n) for n in range(1, 10**5 + 1, 2)]
     for limit in [*range(2, 301), 10**5]:
         table = build_factor_table(limit)
         assert table.spf_odd.tolist() == want[: (limit + 1) // 2], limit
@@ -131,9 +132,9 @@ def test_prime_list_budget_covers_the_measured_peak():
 
 
 def test_build_tables_budget_counts_the_prime_array():
-    build_factor_table(10**6, memory_budget=2_000_000)  # the table alone fits
-    with pytest.raises(ResourceError, match="factor table 2000000 \\+ prime array \\d+ bytes"):
-        build_tables(10**6, memory_budget=2_000_000)
+    build_factor_table(10**6, memory_budget=1_000_000)  # the table alone fits, at 2 bytes an odd n
+    with pytest.raises(ResourceError, match="factor table 1000000 \\+ prime array \\d+ bytes"):
+        build_tables(10**6, memory_budget=1_000_000)
 
 
 def test_build_tables_peak_is_within_what_the_budget_charged():
@@ -167,18 +168,25 @@ def test_psi_peak_is_within_what_the_budget_charged(capsys):
     assert capsys.readouterr().out == "328899981\n"
 
 
-def test_uint64_table_reads_like_uint32(tables_small):
-    """Tables at or above 2^32 store uint64; the memoryview chain must read them alike."""
-    t32 = tables_small.factors
-    t64 = FactorTable(limit=t32.limit, spf_odd=t32.spf_odd.astype(np.uint64))
-    assert t32.spf_odd.dtype == np.uint32 and t64.spf_view.format != t32.spf_view.format
-    for n in range(2, t32.limit + 1):
-        assert tuple(prime_powers(n, t64)) == tuple(prime_powers(n, t32))
-        assert is_nc_criterion(n, t64) == is_nc_criterion(n, t32)
+def test_wider_tables_read_like_uint16(tables_small):
+    """Tables at or above 2^32 store uint32; the memoryview chain and the walk must read them alike."""
+    t16 = tables_small.factors
+    assert t16.spf_odd.dtype == np.uint16
     primes = tables_small.primes
-    for x, y in ((2, 1), (100, 3), (5000, 70), (t32.limit, 97), (t32.limit, t32.limit)):
-        assert pi_smooth_count(x, y, primes, t64) == pi_smooth_count(x, y, primes, t32)
-        assert shifted_smooth_set(x, y, primes, t64) == shifted_smooth_set(x, y, primes, t32)
+    for wide in (np.uint32, np.uint64):
+        twide = FactorTable(limit=t16.limit, spf_odd=t16.spf_odd.astype(wide))
+        assert twide.spf_view.format != t16.spf_view.format
+        for n in range(2, t16.limit + 1):
+            assert tuple(prime_powers(n, twide)) == tuple(prime_powers(n, t16))
+            assert is_nc_criterion(n, twide) == is_nc_criterion(n, t16)
+        for x, y in ((2, 1), (100, 3), (5000, 70), (t16.limit, 97), (t16.limit, t16.limit)):
+            assert pi_smooth_count(x, y, primes, twide) == pi_smooth_count(x, y, primes, t16)
+            assert shifted_smooth_set(x, y, primes, twide) == shifted_smooth_set(x, y, primes, t16)
+
+
+def test_table_dtype_switches_at_2_to_32():
+    assert sieve._factor_table_bytes(2**32 - 1) == 2**31 * 2
+    assert sieve._factor_table_bytes(2**32) == 2**31 * 4
 
 
 def test_factor_table_rejects_bad_limits():
@@ -190,11 +198,35 @@ def test_factor_table_rejects_bad_limits():
 
 def test_build_tables_checks_the_budget_before_sieving(monkeypatch):
     def refuse(limit):
-        raise AssertionError(f"sieved to {limit} before the budget check")
+        raise AssertionError(f"struck a table to {limit} before the budget check")
 
-    monkeypatch.setattr(sieve, "sieve_primes", refuse)
+    monkeypatch.setattr(sieve, "_strike_factor_table", refuse)
     with pytest.raises(ResourceError):
         build_tables(10**8, memory_budget=1000)
+
+
+def _block_edges(block):
+    """Limits whose odd slots end one short of, on, or one past the first and second block ends."""
+    return [2 * k * block + d for k in (1, 2) for d in (-2, -1, 0, 1)]
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [range(2, 301), _block_edges(sieve.STRIKE_BLOCK), _block_edges(sieve.EXTRACT_BLOCK), [10**5]],
+    ids=["2..300", "strike-block", "extract-block", "1e5"],
+)
+def test_build_tables_primes_match_sieve_primes(monkeypatch, limits):
+    """The prime list read off the table's zeros is sieve_primes', and no second sieve runs."""
+    want = {limit: sieve_primes(limit) for limit in limits}
+
+    def refuse(limit):
+        raise AssertionError(f"build_tables sieved primes to {limit}")
+
+    monkeypatch.setattr(sieve, "sieve_primes", refuse)
+    for limit in limits:
+        got = build_tables(limit).primes
+        assert np.array_equal(got.primes, want[limit].primes), limit
+        assert got.count == want[limit].count == len(got.primes), limit
 
 
 def test_factor_table_memory_budget_points_at_segmented_mode():

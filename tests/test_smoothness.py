@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -149,6 +150,15 @@ def test_shifted_smooth_matches_brute_force(tables_small):
 @example((3, 1))
 @example((17, 2))
 @example((2999, 2998))
+@example((23, 11))  # 23 - 1 = 2 * 11: the odd part is y and passes unread
+@example((23, 10))  # ... and y + 1, a prime: its 0 slot fails it
+@example((31, 15))  # 31 - 1 = 2 * 15: the odd part is y
+@example((31, 14))  # ... and y + 1 = 3 * 5, which walks to 5 <= y
+@example((2999, 1000))  # 2999 = 2 * 1499 + 1, 1499 a prime above y: a 0 slot
+@example((1019, 1))
+@example((1019, 2))
+@example((1019, 1018))  # y = x - 1
+@example((1019, 1019))  # y = x
 def test_shifted_smooth_walk_matches_brute_force(tables_small, xy):
     x, y = xy
     p, f = tables_small.primes, tables_small.factors
@@ -165,6 +175,19 @@ def test_shifted_smooth_walk_ignores_chunk_boundaries(tables_1e6, monkeypatch):
     for y in ys:
         assert shifted_smooth_set(10**5, y, p, f).members == whole[y]
         assert pi_smooth_count(10**5, y, p, f) == len(whole[y])
+
+
+def test_pi_smooth_count_builds_no_prime_list(tables_1e7):
+    """Pi(10^7, 3162) holds one chunk's arrays at a time, far less than its 282 700 members."""
+    p, f = tables_1e7.primes, tables_1e7.factors
+    tracemalloc.start()
+    try:
+        assert pi_smooth_count(10**7, 3162, p, f) == 282_700
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = 48 * smoothness.PI_CHUNK  # bytes an entry of one chunk's walk may hold
+    assert peak <= bound < 8 * 282_700
 
 
 def test_pi_smooth_pinned_at_1e7(tables_1e7):
