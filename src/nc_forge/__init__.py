@@ -31,7 +31,6 @@ from .sieve import (
     FactorTable,
     PrimeTable,
     Tables,
-    build_factor_table,
     build_tables,
     sieve_primes,
 )

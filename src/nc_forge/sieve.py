@@ -1,22 +1,23 @@
 """Prime sieves and smallest-prime-factor tables.
 
 Tables are immutable after construction and safe to share across threads.
-sieve_primes takes the base primes <= sqrt(limit) from one flag array and
-strikes their multiples out of the rest segment by segment, so its working
-set beyond the output is one segment; the primes do not depend on the
-segment size.
+Every prime comes from one block routine, _strike: the odd primes p <=
+sqrt(limit) write themselves into the slots of their odd multiples from p^2
+on, STRIKE_BLOCK odd numbers at a time, and the zeros left are the odd primes
+and n = 1.  sieve_primes strikes one reused bool buffer per block and keeps
+its zeros, taking its base primes from the same routine one level down;
+build_tables strikes the slices of a factor table and reads the prime list
+off its zeros, so a matched pair costs one sieve.
 
 A factor table holds, for each odd n <= limit, the smallest prime factor of
 n when n is composite and 0 when n is a prime or 1: 2 bytes an odd n below
-2^32, 4 bytes from there to 2^40.  One strike pass, STRIKE_BLOCK slots at a
-time, builds it; build_tables then reads the prime list off its zeros, so a
-matched pair costs one sieve.
+2^32, 4 bytes from there to 2^40.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,8 +26,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, show_int
 
-SEGMENT_SIZE = 1 << 20  # flags per segment of the sieve above sqrt(limit)
-STRIKE_BLOCK = 1 << 19  # factor-table slots every base prime strikes before the next block
+STRIKE_BLOCK = 1 << 19  # odd-number slots every base prime strikes before the next block
 EXTRACT_BLOCK = 1 << 16  # factor-table slots scanned at a time for the zeros that are primes
 MAX_LIMIT = 1 << 40
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes allowed for the big arrays of one call
@@ -107,37 +107,50 @@ class Tables:
         return min(self.primes.limit, self.factors.limit)
 
 
-def _sieve_monolithic(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+def _strike(block: np.ndarray, lo: int, base: list[int]) -> None:
+    """Strike the odd primes in base, increasing, into block: the odd-number slots [lo, lo + len(block)).
+
+    Slot k holds n = 2k+1, and the odd multiples of p are the slots
+    k = p >> 1 (mod p).  Each p writes itself into those from the slot of p^2
+    on, the largest p first, so the smallest wins and the primes keep 0.
+    Only the p with p^2 below the block's end strike it.
+    """
+    hi = lo + len(block)
+    for i in reversed(range(bisect_right(base, math.isqrt(2 * hi)))):
+        p = base[i]
+        block[max((p * p) >> 1, lo + ((p >> 1) - lo) % p) - lo :: p] = p
 
 
-def _sieve_segmented(limit: int, segment_size: int) -> np.ndarray:
+def _base_primes(limit: int) -> list[int]:
+    """The odd primes <= sqrt(limit): those that strike a sieve to limit."""
     root = math.isqrt(limit)
-    base = _sieve_monolithic(root)
-    chunks = [base]
-    lo = root + 1
-    while lo <= limit:
-        hi = min(lo + segment_size, limit + 1)
-        flags = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                flags[start - lo :: p] = False
-        chunks.append((np.flatnonzero(flags) + lo).astype(np.int64))
-        lo = hi
-    return np.concatenate(chunks)
+    return _sieve(root)[1:].tolist() if root >= 3 else []
+
+
+def _sieve(limit: int) -> np.ndarray:
+    """The primes up to limit >= 2 as int64, STRIKE_BLOCK odd-number slots at a time.
+
+    One bool buffer is cleared and struck per block, and the odd numbers at
+    its zeros are kept; slot 0 (n = 1) gives its place to 2.
+    """
+    base = _base_primes(limit)
+    slots = (limit + 1) // 2
+    buffer = np.empty(min(slots, STRIKE_BLOCK), dtype=bool)
+    chunks = []
+    for lo in range(0, slots, STRIKE_BLOCK):
+        block = buffer[: slots - lo]
+        block.fill(False)
+        _strike(block, lo, base)
+        chunks.append(2 * (np.flatnonzero(~block) + lo) + 1)
+    primes = np.concatenate(chunks)
+    primes[0] = 2
+    return primes
 
 
 def sieve_primes(limit: int) -> PrimeTable:
     """Sieve all primes up to limit (inclusive, at least 2)."""
     _check_limit(limit)
-    primes = _sieve_segmented(limit, SEGMENT_SIZE)
+    primes = _sieve(limit)
     primes.setflags(write=False)
     return PrimeTable(limit=limit, primes=primes, count=len(primes))
 
@@ -154,21 +167,13 @@ def _factor_table_bytes(limit: int) -> int:
 def _strike_factor_table(limit: int) -> np.ndarray:
     """The spf_odd array of a FactorTable: zeros, with each odd composite's spf struck in.
 
-    The odd primes p <= sqrt(limit) strike their odd multiples from p^2 on,
-    STRIKE_BLOCK slots at a time so that a block stays in cache while every
-    prime strikes it; within a block the largest prime goes first, so the
-    smallest wins.  Slot k holds n = 2k+1, and the odd multiples of p are the
-    slots k = p >> 1 (mod p).
+    Each STRIKE_BLOCK slice is struck in place, so it stays in cache while
+    every base prime strikes it.
     """
     spf_odd = np.zeros((limit + 1) // 2, dtype=_factor_table_dtype(limit))
-    base = _sieve_monolithic(math.isqrt(limit))[1:].tolist()
-    firsts = [(p * p) >> 1 for p in base]  # the slot of p^2
+    base = _base_primes(limit)
     for lo in range(0, len(spf_odd), STRIKE_BLOCK):
-        block = spf_odd[lo : lo + STRIKE_BLOCK]
-        hi = lo + len(block)
-        for i in reversed(range(bisect_left(firsts, hi))):
-            p = base[i]
-            block[max(firsts[i], lo + ((p >> 1) - lo) % p) - lo :: p] = p
+        _strike(spf_odd[lo : lo + STRIKE_BLOCK], lo, base)
     return spf_odd
 
 
@@ -193,32 +198,6 @@ def _primes_from_zeros(spf_odd: np.ndarray) -> np.ndarray:
         i += len(slots)
     primes[0] = 2
     return primes
-
-
-def build_factor_table(
-    limit: int,
-    *,
-    memory_budget: int | None = None,
-) -> FactorTable:
-    """Build the smallest-prime-factor table for [2, limit], with no array beside it.
-
-    Every slot starts at 0; the odd primes p <= sqrt(limit) then strike their
-    odd multiples from p^2 on, largest first within each block, so the
-    smallest wins and the primes keep their 0.
-
-    Parameters
-    ----------
-    limit : int
-        Inclusive upper bound, at least 2.
-    memory_budget : int, optional
-        Maximum bytes for the internal array (default 2 GiB).  A limit
-        whose table would not fit raises ResourceError; sieve_primes,
-        count_nc, list_nc, is_nc_criterion and psi_count need no table.
-    """
-    check_budget({"factor table": _factor_table_bytes(limit)}, memory_budget)
-    spf_odd = _strike_factor_table(limit)
-    spf_odd.setflags(write=False)
-    return FactorTable(limit=limit, spf_odd=spf_odd)
 
 
 def build_tables(limit: int, *, memory_budget: int | None = None) -> Tables:

@@ -29,7 +29,7 @@ from .sieve import FactorTable, PrimeTable, Tables, check_ceiling, sieve_primes
 
 logger = logging.getLogger(__name__)
 
-RHO_CUTOFF = 500.0  # beyond this the series is not built: rho underflows from about u = 132.8
+RHO_CUTOFF = 178.0  # rho(u) <= 1/Gamma(u + 1) < 2^-1075 beyond this, so no series is built
 PI_CHUNK = 1 << 15  # primes per chunk of the shifted-smooth walk; its arrays stay in cache
 
 
@@ -347,8 +347,11 @@ def dickman_rho(u: float) -> float:
     Every value is a sum of positive series terms, so its error is relative:
     below 2e-15 of rho(u) while rho(u) is a normal double (u up to about
     127.3).  Subnormal values lose digits, and from about u = 132.8 rho(u) is
-    below the smallest double and 0.0 is returned.  For u > RHO_CUTOFF = 500
-    no series is built: 0.0 is returned at once (logged).
+    below the smallest double and 0.0 is returned.  rho(u) <= 1/Gamma(u + 1)
+    (Tenenbaum, Introduction to Analytic and Probabilistic Number Theory,
+    III.5), below half the smallest double once lgamma(u + 1) > 1075 ln 2,
+    from about u = 177.5; so for u > RHO_CUTOFF = 178 no series is built
+    and 0.0 is returned at once (logged).
     """
     u = float(u)
     if not u >= 0:  # nan too

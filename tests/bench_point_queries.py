@@ -13,7 +13,7 @@ import random
 import pytest
 
 from nc_forge.novak import carmichael_lambda, is_nc_criterion
-from nc_forge.sieve import build_factor_table
+from nc_forge.sieve import build_tables
 
 LIMIT = 10**7
 QUERIES = 10**5
@@ -21,7 +21,7 @@ QUERIES = 10**5
 
 @pytest.fixture(scope="module")
 def table():
-    return build_factor_table(LIMIT)
+    return build_tables(LIMIT).factors
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +30,9 @@ def queries():
     return [rng.randrange(1, LIMIT + 1) for _ in range(QUERIES)]
 
 
-def test_build_factor_table(benchmark):
-    table = benchmark(build_factor_table, LIMIT)
-    assert table.limit == LIMIT
+def test_build_tables(benchmark):
+    tables = benchmark(build_tables, LIMIT)
+    assert tables.limit == LIMIT
 
 
 def test_is_nc_criterion_point_queries(benchmark, table, queries):

@@ -1,17 +1,18 @@
-"""Microbenchmark of the smoothness layer: the tables it reads, Pi(z, y) by the spf walk,
-Psi(z, y) by recursion with pi-table leaves, and a cold Dickman rho.
+"""Microbenchmark of the smoothness layer: the primes and tables it reads, Pi(z, y) by the
+spf walk, Psi(z, y) by recursion with pi-table leaves, and a cold Dickman rho.
 
 Run it by name; the ``bench_`` prefix keeps it out of the default test run:
 
     PYTHONPATH=src python -m pytest tests/bench_smooth.py
 
 z = 10^7 with the two y of the benchmark's ``smooth`` workload: the hild
-y = round(e^sqrt(log z)) = 55 and y = isqrt(z) = 3162.  build_tables(10^7) is
-timed on its own, a fresh pair each round; the Pi calls read one pair built
-outside the timed calls.  Psi(10^9, 31 622) and Psi(10^10, 10^5) are
+y = round(e^sqrt(log z)) = 55 and y = isqrt(z) = 3162.  sieve_primes(10^7)
+and build_tables(10^7) are timed on their own, fresh each round; the Pi calls
+read one pair built outside the timed calls.  Psi(10^9, 31 622) and Psi(10^10, 10^5) are
 the large points, where y is near sqrt(x) and each count is mostly its pi
-table.  rho(390), the far end of the workload's cold rho, runs each round on
-a fresh coefficient cache.
+table.  The cold rho runs each round on a fresh coefficient cache: at
+u = 177, the last unit interval whose series is built, and at u = 390, the
+far end of the workload's cold rho, past the cutoff, where none is.
 """
 
 import math
@@ -19,7 +20,7 @@ import math
 import pytest
 
 from nc_forge import smoothness
-from nc_forge.sieve import build_tables
+from nc_forge.sieve import build_tables, sieve_primes
 from nc_forge.smoothness import dickman_rho, pi_smooth_count, psi_count
 
 Z = 10**7
@@ -31,6 +32,11 @@ PSI = {55: 115_696, 3162: 3_362_157}
 @pytest.fixture(scope="module")
 def tables():
     return build_tables(Z)
+
+
+def test_sieve_primes(benchmark):
+    primes = benchmark.pedantic(sieve_primes, args=(Z,), rounds=20)
+    assert primes.count == 664_579
 
 
 def test_build_tables(benchmark):
@@ -57,8 +63,9 @@ def test_psi_count_large(benchmark, x, y, want):
     assert benchmark.pedantic(psi_count, args=(x, y), rounds=3) == want
 
 
-def test_dickman_rho_cold(benchmark, monkeypatch):
+@pytest.mark.parametrize("u", [177.0, 390.0])
+def test_dickman_rho_cold(benchmark, monkeypatch, u):
     def fresh_cache():
         monkeypatch.setattr(smoothness, "_SERIES", smoothness._DickmanSeries())
 
-    assert benchmark.pedantic(dickman_rho, args=(390.0,), setup=fresh_cache, rounds=20) == 0.0
+    assert benchmark.pedantic(dickman_rho, args=(u,), setup=fresh_cache, rounds=20) == 0.0

@@ -1,10 +1,10 @@
 """Brute-force reference implementations used to pin expected values.
 
-Everything here is deliberately slow and simple: trial division, a
-greatest-prime-factor sieve, a divisor-criterion sieve, the defining
-congruence over every base, subset products by itertools.combinations,
-Pascal's triangle, and a trapezoid solver of the integral form of the rho
-delay equation.  None of it shares
+Everything here is deliberately slow and simple: trial division, a sieve
+of Eratosthenes with one flag per integer, a greatest-prime-factor sieve, a
+divisor-criterion sieve, the defining congruence over every base, subset
+products by itertools.combinations, Pascal's triangle, and a trapezoid
+solver of the integral form of the rho delay equation.  None of it shares
 code with the package under test; spf_many only reads a factor table's
 array.
 """
@@ -22,6 +22,16 @@ def trial_primes(limit):
         if all(n % d for d in range(2, math.isqrt(n) + 1)):
             out.append(n)
     return out
+
+
+def flag_sieve(limit):
+    """The primes <= limit >= 2 as int64, from one flag per integer: each p <= sqrt(limit) clears p^2, p^2 + p, ..."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).astype(np.int64)
 
 
 def trial_factorize(n):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nc_forge.errors import DomainError
-from nc_forge.smoothness import _DickmanSeries, dickman_rho
+from nc_forge.smoothness import RHO_CUTOFF, _DickmanSeries, dickman_rho
 
 from oracles import dickman_oracle
 
@@ -75,6 +75,16 @@ def test_value_at_three():
 def test_bounded_by_reciprocal_gamma():
     for u in range(2, 11):
         assert dickman_rho(float(u)) <= 1.0 / math.gamma(u + 1) + 1e-9
+
+
+def test_cutoff_is_where_reciprocal_gamma_is_below_half_the_smallest_double():
+    """rho(u) <= 1/Gamma(u + 1) (Tenenbaum, III.5), and past the cutoff that bound is below
+    2^-1075 by a factor above e^2, so 0.0 is the double nearest rho(u) there."""
+    assert math.lgamma(RHO_CUTOFF + 1) > 1075 * math.log(2) + 2
+    for u in (k / 4 for k in range(0, 521)):  # up to 130
+        assert dickman_rho(u) <= math.exp(-math.lgamma(u + 1)) * (1 + 1e-12), u
+    series = _DickmanSeries()
+    assert series.eval(RHO_CUTOFF) == series.eval(RHO_CUTOFF - 0.5) == 0.0
 
 
 def test_strictly_decreasing_past_one():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from nc_forge import smoothness
 from nc_forge.errors import DomainError, ResourceError
 from nc_forge.novak import carmichael_lambda, count_nc, is_nc_criterion, list_nc
-from nc_forge.sieve import build_factor_table, prime_powers
+from nc_forge.sieve import build_tables, prime_powers
 
 from oracles import definition_witness, group_exponent, nc_flags_sieve, trial_factorize
 
@@ -19,7 +19,7 @@ def oracle_flags():
 
 @pytest.fixture(scope="module")
 def table_2e6():
-    return build_factor_table(2 * 10**6)
+    return build_tables(2 * 10**6).factors
 
 
 def test_criterion_examples(tables_small):

@@ -10,9 +10,6 @@ from nc_forge import sieve
 from nc_forge.novak import is_nc_criterion
 from nc_forge.sieve import (
     FactorTable,
-    _sieve_monolithic,
-    _sieve_segmented,
-    build_factor_table,
     build_tables,
     check_budget,
     prime_count_bound,
@@ -22,7 +19,7 @@ from nc_forge.sieve import (
 from nc_forge.cli import EXIT_OK, EXIT_RESOURCE, PRIME_LIST_BYTES, run
 from nc_forge.smoothness import pi_smooth_count, pi_table_bytes, psi_count, shifted_smooth_set
 
-from oracles import spf_many, trial_factorize, trial_primes, trial_spf
+from oracles import flag_sieve, spf_many, trial_factorize, trial_primes, trial_spf
 
 
 def test_sieve_first_primes():
@@ -60,18 +57,6 @@ def test_prime_count_matches_trial_division_to_1e5():
     assert sieve_primes(100_000).count == len(trial_primes(100_000))
 
 
-def test_segmented_matches_monolithic_to_1e7():
-    mono = _sieve_monolithic(10**7)
-    assert np.array_equal(sieve_primes(10**7).primes, mono)
-    assert np.array_equal(_sieve_segmented(10**7, 1 << 20), mono)
-
-
-@pytest.mark.parametrize("segment_size", [1 << 12, 1 << 20, 9973])
-def test_segment_size_does_not_change_output(segment_size):
-    seg = _sieve_segmented(10**6, segment_size)
-    assert np.array_equal(seg, _sieve_monolithic(10**6))
-
-
 @pytest.mark.parametrize("bad", [0, 1, -5])
 def test_sieve_rejects_small_limits(bad):
     with pytest.raises(DomainError):
@@ -84,13 +69,13 @@ def test_sieve_rejects_huge_limits():
 
 
 def test_factor_table_examples():
-    t = build_factor_table(100)
+    t = build_tables(100).factors
     assert spf_many(t, np.array([12, 9, 11, 91, 2])).tolist() == [2, 3, 11, 7, 2]
     assert t.spf_odd[[1 >> 1, 9 >> 1, 11 >> 1, 91 >> 1]].tolist() == [0, 3, 0, 7]
 
 
 def test_factor_table_prime_fixed_points():
-    t = build_factor_table(1000)
+    t = build_tables(1000).factors
     primes = set(trial_primes(1000))
     for n in range(2, 1001):
         spf = next(prime_powers(n, t))[0]
@@ -105,18 +90,18 @@ def test_factor_table_matches_trial_division():
     At limit = p^2 the strike of p starts on the last slot; at p^2 - 1, p strikes nothing."""
     want = [0 if trial_spf(n) == n else trial_spf(n) for n in range(1, 10**5 + 1, 2)]
     for limit in [*range(2, 301), 10**5]:
-        table = build_factor_table(limit)
+        table = build_tables(limit).factors
         assert table.spf_odd.tolist() == want[: (limit + 1) // 2], limit
 
 
 def test_factor_table_build_allocates_nothing_beside_the_table():
     tracemalloc.start()
     try:
-        table = build_factor_table(10**7)
+        spf_odd = sieve._strike_factor_table(10**7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * table.spf_odd.nbytes
+    assert peak <= 1.1 * spf_odd.nbytes
 
 
 def test_prime_list_budget_covers_the_measured_peak():
@@ -132,7 +117,7 @@ def test_prime_list_budget_covers_the_measured_peak():
 
 
 def test_build_tables_budget_counts_the_prime_array():
-    build_factor_table(10**6, memory_budget=1_000_000)  # the table alone fits, at 2 bytes an odd n
+    check_budget({"factor table": sieve._factor_table_bytes(10**6)}, 1_000_000)  # the table alone fits
     with pytest.raises(ResourceError, match="factor table 1000000 \\+ prime array \\d+ bytes"):
         build_tables(10**6, memory_budget=1_000_000)
 
@@ -191,9 +176,9 @@ def test_table_dtype_switches_at_2_to_32():
 
 def test_factor_table_rejects_bad_limits():
     with pytest.raises(DomainError):
-        build_factor_table(1)
+        build_tables(1)
     with pytest.raises(ResourceError):
-        build_factor_table((1 << 40) + 1)
+        build_tables((1 << 40) + 1)
 
 
 def test_build_tables_checks_the_budget_before_sieving(monkeypatch):
@@ -208,6 +193,29 @@ def test_build_tables_checks_the_budget_before_sieving(monkeypatch):
 def _block_edges(block):
     """Limits whose odd slots end one short of, on, or one past the first and second block ends."""
     return [2 * k * block + d for k in (1, 2) for d in (-2, -1, 0, 1)]
+
+
+@pytest.mark.parametrize(
+    "limits, block",
+    [
+        (range(2, 301), None),
+        (_block_edges(sieve.STRIKE_BLOCK), None),
+        ([10**7], None),
+        ([10**6], 1 << 12),
+        ([10**6], 9973),
+    ],
+    ids=["2..300", "strike-block", "1e7", "1e6-block-4096", "1e6-block-9973"],
+)
+def test_sieve_primes_matches_flag_sieve(monkeypatch, limits, block):
+    """sieve_primes against one flag per integer: every limit to 300, the limits whose odd
+    slots end next to the first and second block ends, and 10^7.  At 10^6 the block is
+    also shrunk, to a power of 2 and to an odd size, and the primes must not change."""
+    if block:
+        monkeypatch.setattr(sieve, "STRIKE_BLOCK", block)
+    for limit in limits:
+        got = sieve_primes(limit).primes
+        assert got.dtype == np.int64
+        assert np.array_equal(got, flag_sieve(limit)), limit
 
 
 @pytest.mark.parametrize(
@@ -229,9 +237,9 @@ def test_build_tables_primes_match_sieve_primes(monkeypatch, limits):
         assert got.count == want[limit].count == len(got.primes), limit
 
 
-def test_factor_table_memory_budget_points_at_segmented_mode():
+def test_factor_table_memory_budget_points_at_table_free_calls():
     with pytest.raises(ResourceError, match="count_nc, list_nc, .* need no factor table"):
-        build_factor_table(10**6, memory_budget=1000)
+        build_tables(10**6, memory_budget=1000)
 
 
 def test_factorize_examples(tables_small):
