@@ -3,9 +3,14 @@
 Psi(x, y) is counted by count_smooth from the primes <= y and a table of
 pi(x // j): a term whose range leaves each n room for at most one prime
 factor above the primes it allows is a leaf, summed from the table instead
-of recursed into.  Pi(x, y) and the set P(x, y) come from one walk up the
-spf chain of each p - 1, PI_CHUNK primes at a time, that stops as soon as
-the cofactor left is at most y or a prime factor above y turns up.
+of recursed into.  Pi(x, y) and the set P(x, y) take one of two exact
+routes, chosen from (x, y) alone.  The walk goes up the spf chain of each
+p - 1, PI_CHUNK primes at a time, and stops as soon as the cofactor left is
+at most y or a prime factor above y turns up.  Where the y-smooth shifts are
+few, by the estimate x rho(log x / log y) against pi(x), the odd y-smooth
+cofactors k are enumerated instead and each 2^a k + 1 is looked up in the
+factor table, one doubling level at a time.  Either route holds at most
+SHIFT_WORKING_BYTES beside the tables.
 Dickman's rho is summed from a power series with positive coefficients on
 each unit interval, so its values carry relative, not absolute, accuracy.
 
@@ -31,6 +36,9 @@ logger = logging.getLogger(__name__)
 
 RHO_CUTOFF = 178.0  # rho(u) <= 1/Gamma(u + 1) < 2^-1075 beyond this, so no series is built
 PI_CHUNK = 1 << 15  # primes per chunk of the shifted-smooth walk; its arrays stay in cache
+SHIFT_WORKING_BYTES = 48 * PI_CHUNK  # what either Pi route holds beside the tables
+ENUMERATE_SHARE = 0.5  # enumerate when x rho(u) is at most this share of pi(x); see README Limits
+ENUMERATE_MIN_PI = 1 << 13  # below this many primes <= x one walk's few vector steps cost less
 
 
 @dataclass(frozen=True)
@@ -232,27 +240,20 @@ def psi_count(x: int, y: int, table: FactorTable | None = None) -> int:
     return count_smooth(x, sieve_primes(y).primes.tolist(), complete=y)
 
 
-def _shifted_smooth_masks(
-    name: str, x: int, y: int, primes: PrimeTable, table: FactorTable
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+Masks = Iterator[tuple[np.ndarray, np.ndarray]]  # (candidates, mask); the marked ones are members
+
+
+def _walk_masks(x: int, y: int, primes: PrimeTable, table: FactorTable) -> Masks:
     """Yield (chunk, mask) over the primes p <= x, PI_CHUNK at a time; mask marks y-smooth p-1.
 
-    p-1 loses its factors of 2 at once, and its odd cofactor m then walks up
-    the spf chain in uint32 values (uint64 from x > 2^32), whatever the
-    table's dtype.  An entry passes as soon as m <= y, since no factor of m
-    then exceeds y.  It fails at a 0 slot (m itself a prime, above y) or at an
-    spf above y.  Each step divides the entries still walking and compacts
-    them with one index.  y < 2 keeps only p = 2.
+    2 <= y < x.  p-1 loses its factors of 2 at once, and its odd cofactor m
+    then walks up the spf chain in uint32 values (uint64 from x > 2^32),
+    whatever the table's dtype.  An entry passes as soon as m <= y, since no
+    factor of m then exceeds y.  It fails at a 0 slot (m itself a prime,
+    above y) or at an spf above y.  Each step divides the entries still
+    walking and compacts them with one index.
     """
-    if x < 2 or y < 1:
-        raise DomainError(f"{name} needs x >= 2 and y >= 1, got x={x}, y={y}")
-    if x > primes.limit or x - 1 > table.limit:
-        raise DomainError(f"x={x} exceeds table limits")
     ps = primes.primes[: primes.pi(x)]
-    if y < 2:
-        yield ps[:1], np.ones(1, dtype=bool)
-        return
-    y = min(y, x - 1)  # no factor of p-1 exceeds x-1
     dtype = np.uint32 if x <= 2**32 else np.uint64
     spf_odd = table.spf_odd
     for lo in range(0, len(ps), PI_CHUNK):
@@ -276,8 +277,88 @@ def _shifted_smooth_masks(
         yield chunk, mask
 
 
+def _smooth_cofactors(x: int, y: int, primes: PrimeTable) -> np.ndarray | None:
+    """The odd y-smooth k <= (x - 1) / 2, sorted, 2 <= y < x; None once they outgrow the cap.
+
+    They are built one odd prime q <= y at a time: each k so far is
+    multiplied by q, q^2, ... while it stays in range.  They sit in uint32
+    (uint64 from x > 2^32), and the cap allows three entries' bytes for each,
+    what _enumerate_masks holds per k: SHIFT_WORKING_BYTES in all.  It is
+    checked before each concatenation, which holds two.
+    """
+    dtype = np.uint32 if x <= 2**32 else np.uint64
+    cap = SHIFT_WORKING_BYTES // (3 * np.dtype(dtype).itemsize)
+    top = (x - 1) >> 1
+    ks = np.ones(1, dtype=dtype)
+    for q in primes.primes[1 : primes.pi(y)].tolist():
+        powers = [ks]
+        size = len(ks)
+        new = ks
+        while len(new := new[new <= top // q] * dtype(q)):
+            size += len(new)
+            if size > cap:
+                return None
+            powers.append(new)
+        ks = np.concatenate(powers)
+    ks.sort()
+    return ks
+
+
+def _enumerate_masks(x: int, ks: np.ndarray, table: FactorTable) -> Masks:
+    """Yield (candidates, mask) per doubling level, mask marking the primes; p = 2 comes first.
+
+    ks are the sorted odd smooth cofactors of _smooth_cofactors.  An odd p
+    with p - 1 = 2^a k, k odd, has slot k 2^(a - 1), so level a reads the
+    slots of the prefix of ks with 2^a k + 1 <= x, all at once: x <= table.limit.
+    """
+    yield np.full(1, 2, dtype=ks.dtype), np.ones(1, dtype=bool)
+    spf_odd = table.spf_odd
+    for a in range(1, (x - 1).bit_length()):  # k = 1 keeps every level non-empty
+        p = ks[: np.searchsorted(ks, (x - 1) >> a, side="right")] << ks.dtype.type(a - 1)
+        mask = spf_odd[p] == 0
+        p <<= 1
+        p |= 1
+        yield p, mask
+
+
+def _shifted_smooth_masks(
+    name: str, x: int, y: int, primes: PrimeTable, table: FactorTable
+) -> Masks:
+    """(candidates, mask) pairs whose marked entries are the primes p <= x with y-smooth p - 1.
+
+    Each pair's candidates ascend.  Two exact routes: the walk (_walk_masks)
+    reads every prime <= x; the enumeration (_smooth_cofactors, then
+    _enumerate_masks) does work in proportion to Psi(x, y), for which
+    x rho(log x / log y) stands as a cost estimate and never enters a count.
+    It runs when that estimate is at most ENUMERATE_SHARE of pi(x), pi(x) is
+    at least ENUMERATE_MIN_PI (its loops over the primes <= y and the
+    doubling levels cost more than a walk of fewer primes) and
+    x <= table.limit, since it reads the slot of p itself.  It hands over to
+    the walk when its cofactors outgrow SHIFT_WORKING_BYTES.  Either route
+    holds at most SHIFT_WORKING_BYTES beside the tables.  y < 2 keeps only p = 2.
+    """
+    if x < 2 or y < 1:
+        raise DomainError(f"{name} needs x >= 2 and y >= 1, got x={x}, y={y}")
+    if x > primes.limit or x - 1 > table.limit:
+        raise DomainError(f"x={x} exceeds table limits")
+    y = min(y, x - 1)  # no factor of p-1 exceeds x-1
+    if y < 2:
+        return iter([(primes.primes[:1], np.ones(1, dtype=bool))])
+    estimate = x * dickman_rho(math.log(x) / math.log(y))
+    n = primes.pi(x)
+    if estimate <= ENUMERATE_SHARE * n and n >= ENUMERATE_MIN_PI and x <= table.limit:
+        ks = _smooth_cofactors(x, y, primes)
+        if ks is not None:
+            logger.debug("%s(%d, %d): estimate %.4g, enumerate", name, x, y, estimate)
+            return _enumerate_masks(x, ks, table)
+        logger.debug("%s(%d, %d): estimate %.4g, over the cap, walk", name, x, y, estimate)
+    else:
+        logger.debug("%s(%d, %d): estimate %.4g, walk", name, x, y, estimate)
+    return _walk_masks(x, y, primes, table)
+
+
 def pi_smooth_count(x: int, y: int, primes: PrimeTable, table: FactorTable) -> int:
-    """Count primes p <= x with p-1 being y-smooth."""
+    """Count primes p <= x with p-1 being y-smooth, by either route of _shifted_smooth_masks."""
     masks = _shifted_smooth_masks("pi_smooth_count", x, y, primes, table)
     return sum(int(np.count_nonzero(mask)) for _, mask in masks)
 
@@ -288,9 +369,16 @@ def shifted_smooth_set(
     primes: PrimeTable,
     table: FactorTable,
 ) -> ShiftedSmoothSet:
-    """Materialise the set of primes p <= x with y-smooth shift p-1."""
+    """Materialise the set of primes p <= x with y-smooth shift p-1, in increasing order.
+
+    The walk of _shifted_smooth_masks finds its members in order; the
+    enumeration's doubling levels interleave, so only then is a sort needed.
+    """
     masks = _shifted_smooth_masks("shifted_smooth_set", x, y, primes, table)
-    members = tuple(p for chunk, mask in masks for p in chunk[mask].tolist())
+    found = np.concatenate([c[mask] for c, mask in masks])
+    if np.any(found[1:] < found[:-1]):
+        found.sort()
+    members = tuple(found.tolist())
     return ShiftedSmoothSet(x=x, y=y, members=members, count=len(members))
 
 

@@ -1,5 +1,5 @@
-"""Microbenchmark of the smoothness layer: the primes and tables it reads, Pi(z, y) by the
-spf walk, Psi(z, y) by recursion with pi-table leaves, and a cold Dickman rho.
+"""Microbenchmark of the smoothness layer: the primes and tables it reads, Pi(z, y) by either
+route, Psi(z, y) by recursion with pi-table leaves, and a cold Dickman rho.
 
 Run it by name; the ``bench_`` prefix keeps it out of the default test run:
 
@@ -8,7 +8,10 @@ Run it by name; the ``bench_`` prefix keeps it out of the default test run:
 z = 10^7 with the two y of the benchmark's ``smooth`` workload: the hild
 y = round(e^sqrt(log z)) = 55 and y = isqrt(z) = 3162.  sieve_primes(10^7)
 and build_tables(10^7) are timed on their own, fresh each round; the Pi calls
-read one pair built outside the timed calls.  Psi(10^9, 31 622) and Psi(10^10, 10^5) are
+read one pair built outside the timed calls.  Pi is timed at y = 55, which
+enumerates its 24 055 odd smooth cofactors, at y = 3162, which walks every
+prime, and at y = 200, a walk just past the choice (which enumerates up to
+y = 159 at 10^7).  Psi(10^9, 31 622) and Psi(10^10, 10^5) are
 the large points, where y is near sqrt(x) and each count is mostly its pi
 table.  The cold rho runs each round on a fresh coefficient cache: at
 u = 177, the last unit interval whose series is built, and at u = 390, the
@@ -25,7 +28,7 @@ from nc_forge.smoothness import dickman_rho, pi_smooth_count, psi_count
 
 Z = 10**7
 YS = {"hild": round(math.exp(math.sqrt(math.log(Z)))), "sqrt": math.isqrt(Z)}
-PI = {55: 16_826, 3162: 282_700}
+PI = {55: 16_826, 200: 71_609, 3162: 282_700}
 PSI = {55: 115_696, 3162: 3_362_157}
 
 
@@ -44,9 +47,8 @@ def test_build_tables(benchmark):
     assert tables.primes.count == 664_579
 
 
-@pytest.mark.parametrize("rule", YS)
-def test_pi_smooth_count(benchmark, tables, rule):
-    y = YS[rule]
+@pytest.mark.parametrize("y", PI)
+def test_pi_smooth_count(benchmark, tables, y):
     assert benchmark(pi_smooth_count, Z, y, tables.primes, tables.factors) == PI[y]
 
 

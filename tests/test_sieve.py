@@ -104,6 +104,19 @@ def test_factor_table_build_allocates_nothing_beside_the_table():
     assert peak <= 1.1 * spf_odd.nbytes
 
 
+def test_sieve_primes_allocates_nothing_beside_the_primes():
+    """The output is sized once by a bound within 1 % and trimmed in place, so the
+    strike buffer and one piece's indices are all that sit beside it."""
+    tracemalloc.start()
+    try:
+        primes = sieve_primes(10**7).primes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 664_579
+    assert peak <= 1.1 * primes.nbytes
+
+
 def test_prime_list_budget_covers_the_measured_peak():
     tracemalloc.start()
     try:
@@ -200,18 +213,21 @@ def _block_edges(block):
     [
         (range(2, 301), None),
         (_block_edges(sieve.STRIKE_BLOCK), None),
+        (_block_edges(sieve.SIEVE_BLOCK), None),
+        (_block_edges(sieve.SIEVE_PIECE), None),
         ([10**7], None),
         ([10**6], 1 << 12),
         ([10**6], 9973),
     ],
-    ids=["2..300", "strike-block", "1e7", "1e6-block-4096", "1e6-block-9973"],
+    ids=["2..300", "strike-block", "sieve-block", "sieve-piece", "1e7", "1e6-block-4096", "1e6-block-9973"],
 )
 def test_sieve_primes_matches_flag_sieve(monkeypatch, limits, block):
     """sieve_primes against one flag per integer: every limit to 300, the limits whose odd
-    slots end next to the first and second block ends, and 10^7.  At 10^6 the block is
-    also shrunk, to a power of 2 and to an odd size, and the primes must not change."""
+    slots end next to the first and second ends of a factor-table block (the second and fourth
+    sieve block ends), a sieve block and a piece, and 10^7.  At 10^6 the block is also
+    shrunk, to a power of 2 and to an odd size, and the primes must not change."""
     if block:
-        monkeypatch.setattr(sieve, "STRIKE_BLOCK", block)
+        monkeypatch.setattr(sieve, "SIEVE_BLOCK", block)
     for limit in limits:
         got = sieve_primes(limit).primes
         assert got.dtype == np.int64

@@ -1,14 +1,16 @@
 import json
+import logging
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nc_forge import smoothness
 from nc_forge.errors import DomainError
 from nc_forge.novak import _smooth_numbers
-from nc_forge.sieve import build_tables, prime_powers
+from nc_forge.sieve import build_tables, prime_powers, sieve_primes
 from nc_forge.smoothness import (
     CSV_HEADER,
     YRule,
@@ -142,6 +144,23 @@ def test_shifted_smooth_matches_brute_force(tables_small):
         assert list(shifted_smooth_set(x, y, p, f).members) == shifted_smooth_primes(x, y)
 
 
+def members(masks):
+    """The marked candidates of a route's (candidates, mask) pairs, sorted."""
+    return sorted(np.concatenate([c[mask] for c, mask in masks]).tolist())
+
+
+def walked(x, y, p, f):
+    return members(smoothness._walk_masks(x, y, p, f))
+
+
+def enumerated(x, y, p, f):
+    return members(smoothness._enumerate_masks(x, smoothness._smooth_cofactors(x, y, p), f))
+
+
+def refuse_route(*args):
+    raise AssertionError("took the other route")
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=2, max_value=3000).flatmap(
     lambda x: st.tuples(st.just(x), st.integers(min_value=1, max_value=x + 10))
@@ -165,16 +184,117 @@ def test_shifted_smooth_walk_matches_brute_force(tables_small, xy):
     want = shifted_smooth_primes(x, y)
     assert list(shifted_smooth_set(x, y, p, f).members) == want
     assert pi_smooth_count(x, y, p, f) == len(want)
+    y = min(y, x - 1)  # as the public calls do; below 2 they keep only p = 2 and walk nothing
+    if y >= 2:
+        assert walked(x, y, p, f) == want
 
 
 def test_shifted_smooth_walk_ignores_chunk_boundaries(tables_1e6, monkeypatch):
     p, f = tables_1e6.primes, tables_1e6.factors
     ys = (1, 2, 3, 30, 316, 10**5)
     whole = {y: shifted_smooth_set(10**5, y, p, f).members for y in ys}
+    walks = {y: walked(10**5, min(y, 10**5 - 1), p, f) for y in ys if y >= 2}
     monkeypatch.setattr(smoothness, "PI_CHUNK", 97)
     for y in ys:
         assert shifted_smooth_set(10**5, y, p, f).members == whole[y]
         assert pi_smooth_count(10**5, y, p, f) == len(whole[y])
+        if y >= 2:
+            assert walked(10**5, min(y, 10**5 - 1), p, f) == walks[y] == list(whole[y])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=3, max_value=3000).flatmap(
+    lambda x: st.tuples(st.just(x), st.integers(min_value=2, max_value=min(60, x - 1)))
+))
+@example((3, 2))
+@example((257, 2))  # a Fermat prime at x itself
+@example((2049, 2))  # 2049 = 2^11 + 1 = 3 * 683: the top level's one candidate is no prime
+@example((2999, 60))
+@example((23, 11))  # 23 - 1 = 2 * 11: the cofactor is y
+@example((23, 10))
+def test_shifted_smooth_enumeration_matches_brute_force(tables_small, xy):
+    x, y = xy
+    p, f = tables_small.primes, tables_small.factors
+    assert enumerated(x, y, p, f) == shifted_smooth_primes(x, y)
+
+
+def test_fermat_primes_are_the_2_smooth_shifts(tables_1e6, monkeypatch):
+    """At y = 2 the one odd cofactor is 1, so only 2^a + 1 is tested: 2 and the Fermat primes."""
+    p, f = tables_1e6.primes, tables_1e6.factors
+    monkeypatch.setattr(smoothness, "_walk_masks", refuse_route)
+    assert pi_smooth_count(10**6, 2, p, f) == 6
+    assert shifted_smooth_set(10**6, 2, p, f).members == (2, 3, 5, 17, 257, 65_537)
+
+
+@pytest.mark.parametrize(
+    "y, want, other", [(55, 16_826, "_walk_masks"), (3162, 282_700, "_smooth_cofactors")]
+)
+def test_route_choice_at_1e7(tables_1e7, monkeypatch, y, want, other):
+    """The hild y enumerates its few smooth shifts; y = isqrt(x) walks every prime."""
+    p, f = tables_1e7.primes, tables_1e7.factors
+    monkeypatch.setattr(smoothness, other, refuse_route)
+    assert pi_smooth_count(10**7, y, p, f) == want
+
+
+@pytest.mark.parametrize("x, route", [(5_000, "walk"), (100_000, "enumerate")])
+def test_few_primes_are_walked(tables_1e6, caplog, x, route):
+    """At y = 30 both estimates are small, but pi(5000) = 669 primes walk in fewer steps."""
+    p, f = tables_1e6.primes, tables_1e6.factors
+    with caplog.at_level(logging.DEBUG, logger="nc_forge.smoothness"):
+        assert pi_smooth_count(x, 30, p, f) == len(shifted_smooth_primes(x, 30))
+    assert caplog.records[0].message.endswith(f", {route}")
+
+
+def test_enumeration_past_the_cap_falls_back_to_the_walk(tables_1e6, monkeypatch, caplog):
+    p, f = tables_1e6.primes, tables_1e6.factors
+    want = {y: shifted_smooth_set(10**6, y, p, f).members for y in (2, 30, 41)}
+    monkeypatch.setattr(smoothness, "SHIFT_WORKING_BYTES", 1000)  # 83 uint32 cofactors
+    with caplog.at_level(logging.DEBUG, logger="nc_forge.smoothness"):
+        for y in (30, 41):
+            assert shifted_smooth_set(10**6, y, p, f).members == want[y]
+            assert pi_smooth_count(10**6, y, p, f) == len(want[y])
+        assert pi_smooth_count(10**6, 2, p, f) == len(want[2])  # one cofactor fits any cap
+    routes = [rec.message.rsplit(", ", 1)[1] for rec in caplog.records]
+    assert routes == ["walk"] * 4 + ["enumerate"]
+    assert all("over the cap" in rec.message for rec in caplog.records[:4])
+
+
+def test_route_decision_is_logged_at_debug(tables_1e7, caplog):
+    p, f = tables_1e7.primes, tables_1e7.factors
+    with caplog.at_level(logging.DEBUG, logger="nc_forge.smoothness"):
+        pi_smooth_count(10**7, 55, p, f)
+        shifted_smooth_set(10**5, 316, p, f)
+    assert [(rec.levelno, rec.message) for rec in caplog.records] == [
+        (logging.DEBUG, "pi_smooth_count(10000000, 55): estimate 4.649e+04, enumerate"),
+        (logging.DEBUG, "shifted_smooth_set(100000, 316): estimate 3.067e+04, walk"),
+    ]
+
+
+def test_a_table_one_short_of_x_takes_the_walk(monkeypatch):
+    """The walk reads slots of (p - 1) / 2^a only; the enumeration would read p's own slot."""
+    primes, table = sieve_primes(101), build_tables(100).factors
+    monkeypatch.setattr(smoothness, "ENUMERATE_MIN_PI", 0)
+    monkeypatch.setattr(smoothness, "_smooth_cofactors", refuse_route)
+    assert pi_smooth_count(101, 5, primes, table) == len(shifted_smooth_primes(101, 5)) == 15
+
+
+@pytest.mark.parametrize("share", [0.0, math.inf], ids=["walk", "enumerate"])
+def test_both_routes_raise_the_same_domain_errors(tables_small, monkeypatch, share):
+    """The arguments are checked before a route is chosen, so either route names them alike."""
+    p, f = tables_small.primes, tables_small.factors
+    monkeypatch.setattr(smoothness, "ENUMERATE_SHARE", share)
+    monkeypatch.setattr(smoothness, "ENUMERATE_MIN_PI", 0)
+    for name, call in (("pi_smooth_count", pi_smooth_count), ("shifted_smooth_set", shifted_smooth_set)):
+        for x, y, text in (
+            (1, 5, f"{name} needs x >= 2 and y >= 1, got x=1, y=5"),
+            (100, 0, f"{name} needs x >= 2 and y >= 1, got x=100, y=0"),
+            (10_001, 5, "x=10001 exceeds table limits"),
+        ):
+            with pytest.raises(DomainError) as err:
+                call(x, y, p, f)
+            assert str(err.value) == text
+    assert pi_smooth_count(10_000, 55, p, f) == len(shifted_smooth_primes(10_000, 55))
+    assert pi_smooth_count(10_000, 10**6, p, f) == p.pi(10_000)  # y is clipped to x - 1 first
 
 
 def test_pi_smooth_count_builds_no_prime_list(tables_1e7):
@@ -188,6 +308,19 @@ def test_pi_smooth_count_builds_no_prime_list(tables_1e7):
         tracemalloc.stop()
     bound = 48 * smoothness.PI_CHUNK  # bytes an entry of one chunk's walk may hold
     assert peak <= bound < 8 * 282_700
+
+
+def test_pi_smooth_enumeration_holds_its_cofactors_only(tables_1e7):
+    """Pi(10^7, 55) enumerates 24 055 odd cofactors, one doubling level at a time."""
+    p, f = tables_1e7.primes, tables_1e7.factors
+    assert len(smoothness._smooth_cofactors(10**7, 55, p)) == 24_055
+    tracemalloc.start()
+    try:
+        assert pi_smooth_count(10**7, 55, p, f) == 16_826
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= smoothness.SHIFT_WORKING_BYTES == 48 * smoothness.PI_CHUNK
 
 
 def test_pi_smooth_pinned_at_1e7(tables_1e7):
