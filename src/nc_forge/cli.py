@@ -167,6 +167,7 @@ def _cmd_nc_list(args) -> int:
 
 def _cmd_smooth_psi(args) -> int:
     x, y = parse_natural(args.x), parse_natural(args.y)
+    check_ceiling("x", x)  # before pi_table_bytes, whose next prime above y is found by trial division
     if y < x:  # psi_count lists the primes <= y and builds a pi table; for y >= x neither
         check_budget(
             {"prime list": PRIME_LIST_BYTES * prime_count_bound(y), "pi table": pi_table_bytes(x, y)},

@@ -4,10 +4,12 @@ Tables are immutable after construction and safe to share across threads.
 Every prime comes from one block routine, _strike: the odd primes p <=
 sqrt(limit) write themselves into the slots of their odd multiples from p^2
 on, a block of odd numbers at a time, and the zeros left are the odd primes
-and n = 1.  sieve_primes strikes one reused bool buffer per block and writes
-its zeros into an array sized once, taking its base primes from the same
-routine one level down; build_tables strikes the slices of a factor table and
-reads the prime list off its zeros, so a matched pair costs one sieve.
+and n = 1.  One routine, _write_primes, turns zeros into primes, in an array
+sized once by prime_count_bound (Dusart's bound, which sets every memory
+charge for primes too) and trimmed in place.  sieve_primes hands it one
+reused bool buffer per block, its base primes sieved one level down;
+build_tables hands it a factor table's zeros a piece at a time, so a matched
+pair costs one sieve.
 
 A factor table holds, for each odd n <= limit, the smallest prime factor of
 n when n is composite and 0 when n is a prime or 1: 2 bytes an odd n below
@@ -28,8 +30,7 @@ from .errors import DomainError, ResourceError, show_int
 
 STRIKE_BLOCK = 1 << 19  # factor-table slots every base prime strikes before the next block
 SIEVE_BLOCK = 1 << 18  # slots of sieve_primes' bool buffer: under 5 % of the primes to 10^7
-SIEVE_PIECE = 1 << 14  # buffer slots read at a time; each read's index array is its own
-EXTRACT_BLOCK = 1 << 16  # factor-table slots scanned at a time for the zeros that are primes
+SIEVE_PIECE = 1 << 14  # is-prime slots read at a time; each read's index array is its own
 MAX_LIMIT = 1 << 40
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes allowed for the big arrays of one call
 
@@ -53,16 +54,13 @@ def check_budget(arrays: dict[str, int], memory_budget: int | None) -> None:
 
 
 def prime_count_bound(limit: int) -> int:
-    """An upper bound on pi(limit): 1.26 limit / ln(limit) (Rosser and Schoenfeld, 1962)."""
-    return limit if limit < 17 else 126 * limit // (100 * int(math.log(limit)))
-
-
-def _prime_count_cap(limit: int) -> int:
-    """An upper bound on pi(limit), limit >= 2: (limit / L)(1 + 1.2762 / L), L = ln limit.
+    """An upper bound on pi(limit): (limit / L)(1 + 1.2762 / L) + 1, L = ln limit; 0 below 2.
 
     Dusart (Math. Comp. 68, 1999).  It lies 0.75 % above pi(limit) at 10^6,
     10^7 and 10^8, and the float rounding is far inside the + 1.
     """
+    if limit < 2:
+        return 0
     log = math.log(limit)
     return int(limit / log * (1 + 1.2762 / log)) + 1
 
@@ -139,27 +137,18 @@ def _base_primes(limit: int) -> list[int]:
     return _sieve(root)[1:].tolist() if root >= 3 else []
 
 
-def _sieve(limit: int) -> np.ndarray:
-    """The primes up to limit >= 2 as int64, SIEVE_BLOCK odd-number slots at a time.
+def _write_primes(limit: int, blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
+    """The primes up to limit >= 2 as int64, from (lo, flags) blocks covering its odd slots in order.
 
-    One bool buffer is cleared, struck and inverted per block, and the odd
-    numbers at its zeros are written, SIEVE_PIECE slots at a time, into an
-    array of _prime_count_cap(limit) entries, trimmed in place at the end;
-    slot 0 (n = 1) gives its place to 2.  Beside the primes, a call holds the
-    buffer, the base primes and one piece's index array.
+    flags[k] is true when n = 2(lo + k) + 1 is a prime or 1.  They are read
+    SIEVE_PIECE slots at a time into an array of prime_count_bound(limit)
+    entries, trimmed in place at the end; slot 0 (n = 1) gives its place to 2.
     """
-    base = _base_primes(limit)
-    slots = (limit + 1) // 2
-    primes = np.empty(_prime_count_cap(limit), dtype=np.int64)
-    buffer = np.empty(min(slots, SIEVE_BLOCK), dtype=bool)
+    primes = np.empty(prime_count_bound(limit), dtype=np.int64)
     i = 0
-    for lo in range(0, slots, SIEVE_BLOCK):
-        block = buffer[: slots - lo]
-        block.fill(False)
-        _strike(block, lo, base)
-        np.logical_not(block, out=block)
-        for start in range(0, len(block), SIEVE_PIECE):
-            found = np.flatnonzero(block[start : start + SIEVE_PIECE])
+    for lo, flags in blocks:
+        for start in range(0, len(flags), SIEVE_PIECE):
+            found = np.flatnonzero(flags[start : start + SIEVE_PIECE])
             out = primes[i : i + len(found)]
             np.multiply(found, 2, out=out)
             out += 2 * (lo + start) + 1
@@ -167,6 +156,28 @@ def _sieve(limit: int) -> np.ndarray:
     primes.resize(i, refcheck=False)
     primes[0] = 2
     return primes
+
+
+def _sieve(limit: int) -> np.ndarray:
+    """The primes up to limit >= 2 as int64, SIEVE_BLOCK odd-number slots at a time.
+
+    One bool buffer is cleared, struck and inverted per block and handed to
+    _write_primes.  Beside the primes, a call holds the buffer, the base
+    primes and one piece's index array.
+    """
+    base = _base_primes(limit)
+    slots = (limit + 1) // 2
+    buffer = np.empty(min(slots, SIEVE_BLOCK), dtype=bool)
+
+    def blocks() -> Iterator[tuple[int, np.ndarray]]:
+        for lo in range(0, slots, SIEVE_BLOCK):
+            block = buffer[: slots - lo]
+            block.fill(False)
+            _strike(block, lo, base)
+            np.logical_not(block, out=block)
+            yield lo, block
+
+    return _write_primes(limit, blocks())
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -199,42 +210,27 @@ def _strike_factor_table(limit: int) -> np.ndarray:
     return spf_odd
 
 
-def _primes_from_zeros(spf_odd: np.ndarray) -> np.ndarray:
-    """The primes up to the table's limit, as int64, read off its zero slots.
-
-    The zeros are the odd primes and slot 0 (n = 1), so there are pi(limit)
-    of them and 2 takes the place of 1.  EXTRACT_BLOCK slots are counted at a
-    time, an exact array is allocated, and a second scan fills it.
-    """
-    count = sum(
-        int(np.count_nonzero(spf_odd[lo : lo + EXTRACT_BLOCK] == 0))
-        for lo in range(0, len(spf_odd), EXTRACT_BLOCK)
-    )
-    primes = np.empty(count, dtype=np.int64)
-    i = 0
-    for lo in range(0, len(spf_odd), EXTRACT_BLOCK):
-        slots = np.flatnonzero(spf_odd[lo : lo + EXTRACT_BLOCK] == 0)
-        out = primes[i : i + len(slots)]
-        np.multiply(slots, 2, out=out)
-        out += 2 * lo + 1
-        i += len(slots)
-    primes[0] = 2
-    return primes
-
-
 def build_tables(limit: int, *, memory_budget: int | None = None) -> Tables:
     """A matched PrimeTable/FactorTable pair from one strike pass.
 
-    The prime list is read off the factor table's zeros.  The budget covers
-    the factor table and the int64 prime array, sized by prime_count_bound,
-    and is checked before the strike pass runs.
+    The prime list is read off the factor table's zeros by _write_primes, one
+    SIEVE_PIECE slice of spf_odd == 0 at a time.  The budget covers the factor
+    table, the int64 prime array sized by prime_count_bound, and the read
+    piece: two pieces' bool flags, and their int64 indices at one prime in
+    two odd slots or fewer, since a piece's arrays are freed only once the
+    next piece's exist.  It is checked before the strike pass runs.
     """
     check_budget(
-        {"factor table": _factor_table_bytes(limit), "prime array": 8 * prime_count_bound(limit)},
+        {
+            "factor table": _factor_table_bytes(limit),
+            "prime array": 8 * prime_count_bound(limit),
+            "read piece": 10 * SIEVE_PIECE,
+        },
         memory_budget,
     )
     spf_odd = _strike_factor_table(limit)
-    primes = _primes_from_zeros(spf_odd)
+    pieces = range(0, len(spf_odd), SIEVE_PIECE)
+    primes = _write_primes(limit, ((lo, spf_odd[lo : lo + SIEVE_PIECE] == 0) for lo in pieces))
     spf_odd.setflags(write=False)
     primes.setflags(write=False)
     return Tables(

@@ -6,11 +6,11 @@ factor above the primes it allows is a leaf, summed from the table instead
 of recursed into.  Pi(x, y) and the set P(x, y) take one of two exact
 routes, chosen from (x, y) alone.  The walk goes up the spf chain of each
 p - 1, PI_CHUNK primes at a time, and stops as soon as the cofactor left is
-at most y or a prime factor above y turns up.  Where the y-smooth shifts are
-few, by the estimate x rho(log x / log y) against pi(x), the odd y-smooth
-cofactors k are enumerated instead and each 2^a k + 1 is looked up in the
-factor table, one doubling level at a time.  Either route holds at most
-SHIFT_WORKING_BYTES beside the tables.
+at most y or a prime factor above y turns up.  Where the estimate
+x rho(log x / log y) of the y-smooth shifts is at most ENUMERATE_SHARE of
+pi(x), the one rule, the odd y-smooth cofactors k are enumerated instead and
+each 2^a k + 1 is looked up in the factor table, one doubling level at a
+time.  Either route holds at most SHIFT_WORKING_BYTES beside the tables.
 Dickman's rho is summed from a power series with positive coefficients on
 each unit interval, so its values carry relative, not absolute, accuracy.
 
@@ -38,7 +38,6 @@ RHO_CUTOFF = 178.0  # rho(u) <= 1/Gamma(u + 1) < 2^-1075 beyond this, so no seri
 PI_CHUNK = 1 << 15  # primes per chunk of the shifted-smooth walk; its arrays stay in cache
 SHIFT_WORKING_BYTES = 48 * PI_CHUNK  # what either Pi route holds beside the tables
 ENUMERATE_SHARE = 0.5  # enumerate when x rho(u) is at most this share of pi(x); see README Limits
-ENUMERATE_MIN_PI = 1 << 13  # below this many primes <= x one walk's few vector steps cost less
 
 
 @dataclass(frozen=True)
@@ -330,9 +329,7 @@ def _shifted_smooth_masks(
     reads every prime <= x; the enumeration (_smooth_cofactors, then
     _enumerate_masks) does work in proportion to Psi(x, y), for which
     x rho(log x / log y) stands as a cost estimate and never enters a count.
-    It runs when that estimate is at most ENUMERATE_SHARE of pi(x), pi(x) is
-    at least ENUMERATE_MIN_PI (its loops over the primes <= y and the
-    doubling levels cost more than a walk of fewer primes) and
+    It runs when that estimate is at most ENUMERATE_SHARE of pi(x) and
     x <= table.limit, since it reads the slot of p itself.  It hands over to
     the walk when its cofactors outgrow SHIFT_WORKING_BYTES.  Either route
     holds at most SHIFT_WORKING_BYTES beside the tables.  y < 2 keeps only p = 2.
@@ -345,8 +342,7 @@ def _shifted_smooth_masks(
     if y < 2:
         return iter([(primes.primes[:1], np.ones(1, dtype=bool))])
     estimate = x * dickman_rho(math.log(x) / math.log(y))
-    n = primes.pi(x)
-    if estimate <= ENUMERATE_SHARE * n and n >= ENUMERATE_MIN_PI and x <= table.limit:
+    if estimate <= ENUMERATE_SHARE * primes.pi(x) and x <= table.limit:
         ks = _smooth_cofactors(x, y, primes)
         if ks is not None:
             logger.debug("%s(%d, %d): estimate %.4g, enumerate", name, x, y, estimate)

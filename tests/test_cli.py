@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -290,9 +291,16 @@ def test_smooth_psi_budget_bounds_its_prime_list(capsys):
         capsys, "smooth", "psi", "--x", "10^9", "--y", "10^9", "--limit-memory", "10^7"
     )
     assert (code, out) == (EXIT_OK, "1000000000\n")
-    code, out, err = invoke(capsys, "smooth", "psi", "--x", "10^13", "--y", "10^13")
-    assert (code, out) == (EXIT_RESOURCE, "")
-    assert "2^40" in err
+    # The ceiling is checked before the charge, whose next prime above y is found by trial division.
+    for x, y in (("10^13", "10^13"), ("10^13", "10^12"), ("10^30", "10^29")):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "smooth", "psi", "--x", x, "--y", y)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert "x=" in err and "2^40" in err and "Traceback" not in err
+    # The charge for y < 2 lists no primes; psi_count then refuses y = 0 and counts n = 1 for y = 1.
+    assert invoke(capsys, "smooth", "psi", "--x", "10", "--y", "0")[:2] == (EXIT_DOMAIN, "")
+    assert invoke(capsys, "smooth", "psi", "--x", "10", "--y", "1")[:2] == (EXIT_OK, "1\n")
 
 
 def test_help_exits_zero(capsys):

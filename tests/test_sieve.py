@@ -38,6 +38,17 @@ def test_prime_count_100():
     assert sieve_primes(100).count == 25
 
 
+def test_prime_count_bound_is_at_least_pi():
+    """Dusart's bound, which sizes every prime array and charge, against exact counts."""
+    assert prime_count_bound(0) == prime_count_bound(1) == 0
+    limits = np.arange(2, 10**5 + 1)
+    pi = np.searchsorted(flag_sieve(10**5), limits, side="right")
+    bounds = np.array([prime_count_bound(int(limit)) for limit in limits])
+    assert np.all(bounds >= pi), limits[bounds < pi][:5]
+    for limit, count in ((10**6, 78_498), (10**7, 664_579)):
+        assert count <= prime_count_bound(limit) <= 1.0075 * count
+
+
 def test_prime_table_pi_lookups():
     t = sieve_primes(1000)
     assert t.pi(100) == 25
@@ -131,7 +142,7 @@ def test_prime_list_budget_covers_the_measured_peak():
 
 def test_build_tables_budget_counts_the_prime_array():
     check_budget({"factor table": sieve._factor_table_bytes(10**6)}, 1_000_000)  # the table alone fits
-    with pytest.raises(ResourceError, match="factor table 1000000 \\+ prime array \\d+ bytes"):
+    with pytest.raises(ResourceError, match="factor table 1000000 \\+ prime array \\d+ \\+ read piece \\d+ bytes"):
         build_tables(10**6, memory_budget=1_000_000)
 
 
@@ -142,7 +153,7 @@ def test_build_tables_peak_is_within_what_the_budget_charged():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    charged = tables.factors.spf_odd.nbytes + 8 * prime_count_bound(10**7)
+    charged = tables.factors.spf_odd.nbytes + 8 * prime_count_bound(10**7) + 10 * sieve.SIEVE_PIECE
     assert tables.primes.primes.nbytes <= 8 * prime_count_bound(10**7)
     assert peak <= charged
     with pytest.raises(ResourceError):
@@ -236,11 +247,18 @@ def test_sieve_primes_matches_flag_sieve(monkeypatch, limits, block):
 
 @pytest.mark.parametrize(
     "limits",
-    [range(2, 301), _block_edges(sieve.STRIKE_BLOCK), _block_edges(sieve.EXTRACT_BLOCK), [10**5]],
-    ids=["2..300", "strike-block", "extract-block", "1e5"],
+    [
+        range(2, 301),
+        _block_edges(sieve.STRIKE_BLOCK),
+        _block_edges(sieve.SIEVE_BLOCK),
+        _block_edges(sieve.SIEVE_PIECE),
+        [10**5],
+    ],
+    ids=["2..300", "strike-block", "sieve-block", "sieve-piece", "1e5"],
 )
 def test_build_tables_primes_match_sieve_primes(monkeypatch, limits):
-    """The prime list read off the table's zeros is sieve_primes', and no second sieve runs."""
+    """The prime list read off the table's zeros, a piece at a time, is sieve_primes', read a
+    block at a time, at the edges of both; and no second sieve runs."""
     want = {limit: sieve_primes(limit) for limit in limits}
 
     def refuse(limit):

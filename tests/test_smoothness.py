@@ -236,15 +236,6 @@ def test_route_choice_at_1e7(tables_1e7, monkeypatch, y, want, other):
     assert pi_smooth_count(10**7, y, p, f) == want
 
 
-@pytest.mark.parametrize("x, route", [(5_000, "walk"), (100_000, "enumerate")])
-def test_few_primes_are_walked(tables_1e6, caplog, x, route):
-    """At y = 30 both estimates are small, but pi(5000) = 669 primes walk in fewer steps."""
-    p, f = tables_1e6.primes, tables_1e6.factors
-    with caplog.at_level(logging.DEBUG, logger="nc_forge.smoothness"):
-        assert pi_smooth_count(x, 30, p, f) == len(shifted_smooth_primes(x, 30))
-    assert caplog.records[0].message.endswith(f", {route}")
-
-
 def test_enumeration_past_the_cap_falls_back_to_the_walk(tables_1e6, monkeypatch, caplog):
     p, f = tables_1e6.primes, tables_1e6.factors
     want = {y: shifted_smooth_set(10**6, y, p, f).members for y in (2, 30, 41)}
@@ -260,20 +251,28 @@ def test_enumeration_past_the_cap_falls_back_to_the_walk(tables_1e6, monkeypatch
 
 
 def test_route_decision_is_logged_at_debug(tables_1e7, caplog):
+    """The estimate against pi(x) / 2 alone picks the route, however few the primes <= x:
+    Pi(10^4, 21) enumerates (461 against 614.5) and Pi(5000, 30) walks (647 against 334.5)."""
     p, f = tables_1e7.primes, tables_1e7.factors
     with caplog.at_level(logging.DEBUG, logger="nc_forge.smoothness"):
         pi_smooth_count(10**7, 55, p, f)
         shifted_smooth_set(10**5, 316, p, f)
+        for x, y in ((10**4, 21), (5000, 30), (10**5, 30)):
+            assert pi_smooth_count(x, y, p, f) == len(shifted_smooth_primes(x, y))
     assert [(rec.levelno, rec.message) for rec in caplog.records] == [
         (logging.DEBUG, "pi_smooth_count(10000000, 55): estimate 4.649e+04, enumerate"),
         (logging.DEBUG, "shifted_smooth_set(100000, 316): estimate 3.067e+04, walk"),
+        (logging.DEBUG, "pi_smooth_count(10000, 21): estimate 460.9, enumerate"),
+        (logging.DEBUG, "pi_smooth_count(5000, 30): estimate 646.6, walk"),
+        (logging.DEBUG, "pi_smooth_count(100000, 30): estimate 2107, enumerate"),
     ]
+    for x, y in ((10**4, 21), (5000, 30)):
+        assert walked(x, y, p, f) == enumerated(x, y, p, f) == shifted_smooth_primes(x, y)
 
 
 def test_a_table_one_short_of_x_takes_the_walk(monkeypatch):
     """The walk reads slots of (p - 1) / 2^a only; the enumeration would read p's own slot."""
     primes, table = sieve_primes(101), build_tables(100).factors
-    monkeypatch.setattr(smoothness, "ENUMERATE_MIN_PI", 0)
     monkeypatch.setattr(smoothness, "_smooth_cofactors", refuse_route)
     assert pi_smooth_count(101, 5, primes, table) == len(shifted_smooth_primes(101, 5)) == 15
 
@@ -283,7 +282,6 @@ def test_both_routes_raise_the_same_domain_errors(tables_small, monkeypatch, sha
     """The arguments are checked before a route is chosen, so either route names them alike."""
     p, f = tables_small.primes, tables_small.factors
     monkeypatch.setattr(smoothness, "ENUMERATE_SHARE", share)
-    monkeypatch.setattr(smoothness, "ENUMERATE_MIN_PI", 0)
     for name, call in (("pi_smooth_count", pi_smooth_count), ("shifted_smooth_set", shifted_smooth_set)):
         for x, y, text in (
             (1, 5, f"{name} needs x >= 2 and y >= 1, got x=1, y=5"),
