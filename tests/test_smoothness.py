@@ -236,6 +236,20 @@ def test_route_choice_at_1e7(tables_1e7, monkeypatch, y, want, other):
     assert pi_smooth_count(10**7, y, p, f) == want
 
 
+@pytest.mark.parametrize(
+    "x, route, estimate",
+    [(5_000, "walk", "646.6"), (100_000, "enumerate", "2107")],
+    ids=["5000-walk", "100000-enumerate"],
+)
+def test_few_primes_are_walked(tables_1e6, caplog, x, route, estimate):
+    """At y = 30 both estimates are small; Pi(5000, 30) walks only because its estimate
+    passes pi(5000) / 2 = 334.5, while Pi(10^5, 30) stays under pi(10^5) / 2 = 4796."""
+    p, f = tables_1e6.primes, tables_1e6.factors
+    with caplog.at_level(logging.DEBUG, logger="nc_forge.smoothness"):
+        assert pi_smooth_count(x, 30, p, f) == len(shifted_smooth_primes(x, 30))
+    assert caplog.records[0].message == f"pi_smooth_count({x}, 30): estimate {estimate}, {route}"
+
+
 def test_enumeration_past_the_cap_falls_back_to_the_walk(tables_1e6, monkeypatch, caplog):
     p, f = tables_1e6.primes, tables_1e6.factors
     want = {y: shifted_smooth_set(10**6, y, p, f).members for y in (2, 30, 41)}
@@ -257,14 +271,11 @@ def test_route_decision_is_logged_at_debug(tables_1e7, caplog):
     with caplog.at_level(logging.DEBUG, logger="nc_forge.smoothness"):
         pi_smooth_count(10**7, 55, p, f)
         shifted_smooth_set(10**5, 316, p, f)
-        for x, y in ((10**4, 21), (5000, 30), (10**5, 30)):
-            assert pi_smooth_count(x, y, p, f) == len(shifted_smooth_primes(x, y))
+        assert pi_smooth_count(10**4, 21, p, f) == len(shifted_smooth_primes(10**4, 21))
     assert [(rec.levelno, rec.message) for rec in caplog.records] == [
         (logging.DEBUG, "pi_smooth_count(10000000, 55): estimate 4.649e+04, enumerate"),
         (logging.DEBUG, "shifted_smooth_set(100000, 316): estimate 3.067e+04, walk"),
         (logging.DEBUG, "pi_smooth_count(10000, 21): estimate 460.9, enumerate"),
-        (logging.DEBUG, "pi_smooth_count(5000, 30): estimate 646.6, walk"),
-        (logging.DEBUG, "pi_smooth_count(100000, 30): estimate 2107, enumerate"),
     ]
     for x, y in ((10**4, 21), (5000, 30)):
         assert walked(x, y, p, f) == enumerated(x, y, p, f) == shifted_smooth_primes(x, y)
