@@ -1,5 +1,23 @@
 """Exact counting, construction, and certified lower bounds for Novak-Carmichael numbers."""
 
+import os as _os
+import sys as _sys
+
+# The package calls no BLAS routine, yet numpy's OpenBLAS starts a helper thread
+# that spins for about 0.1 s of CPU at every start (2 vCPU).  OpenBLAS reads its
+# thread count once, when numpy loads it, so numpy is loaded here, before the
+# submodules, with the pool pinned to one thread; the variable is then removed,
+# so os.environ and child processes see what the caller passed.  A caller who
+# set a count (OpenBLAS reads these three variables) or loaded numpy first keeps
+# the pool it asked for.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREAD_VARS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .certify import (
     EnumerationReport,
     LowerBoundCertificate,

@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 
 from .certify import (
@@ -49,6 +50,11 @@ EXIT_PIPE = 141  # what a shell reports for a writer that SIGPIPE ends
 CONSTRUCT_ALL_CAP = 20  # 2^pi members; refuse beyond this many set bits
 PRIME_LIST_BYTES = 48  # a prime smooth psi lists: its sieve entry, a list slot and its int
 Z_VALUE_BYTES = 40  # a z of a range: its list slot and its int
+MAX_NOTATION_DIGITS = 4001  # up to 10^4000, so every value prints: str() stops at 4 300 digits
+
+_E_NOTATION = re.compile(  # '2.5e6': sign, whole digits, fraction digits, exponent
+    r"(?P<sign>[+-]?)(?P<whole>[0-9]*)\.?(?P<frac>[0-9]*)[eE](?P<exp>[+-]?[0-9]+)"
+)
 
 
 class _UsageError(Exception):
@@ -60,25 +66,34 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _scaled(digits: str, k: int) -> int:
+    """int(digits) * 10^k, exactly; ValueError unless it is an integer."""
+    digits = digits.lstrip("0")
+    significant = digits.rstrip("0")
+    if not significant:
+        return 0
+    k += len(digits) - len(significant)
+    if k < 0:
+        raise ValueError("not an integer")
+    if len(significant) + k > MAX_NOTATION_DIGITS:  # checked before the integer is built
+        raise ResourceError(f"a {len(significant) + k}-digit number is beyond the supported notation range")
+    return int(significant) * 10**k
+
+
 def parse_natural(text: str) -> int:
-    """Positive integer from '123', '1_000_000', '10^7', or '1e6'."""
+    """Natural number from '123', '1_000_000', '10^7', '1e6' or '2.5e6', read exactly."""
     t = str(text).strip().replace("_", "")
     try:
         if t.startswith("10^"):
-            k = int(t[3:])
-            if k < 0:
-                raise ValueError(t)
-            if k > 4000:  # keeps 10^k printable: str() stops at 4 300 digits
-                raise ResourceError(f"10^{k} is beyond the supported notation range")
-            n = 10**k
-        elif any(c in t for c in "eE") and "^" not in t:
-            f = float(t)
-            n = int(f)
-            if n != f:
-                raise ValueError(t)
+            n = _scaled("1", int(t[3:]))
+        elif (m := _E_NOTATION.fullmatch(t)) and (m["whole"] or m["frac"]):
+            digits = m["whole"] + m["frac"]
+            if m["sign"] == "-" and digits.strip("0"):
+                raise ValueError("negative")  # at any size, before the notation range is checked
+            n = _scaled(digits, int(m["exp"]) - len(m["frac"]))
         else:
             n = int(t)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise DomainError(f"not a natural number: {text!r}") from exc
     if n < 0:
         raise DomainError(f"not a natural number: {text!r}")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -301,6 +302,51 @@ def test_smooth_psi_budget_bounds_its_prime_list(capsys):
     # The charge for y < 2 lists no primes; psi_count then refuses y = 0 and counts n = 1 for y = 1.
     assert invoke(capsys, "smooth", "psi", "--x", "10", "--y", "0")[:2] == (EXIT_DOMAIN, "")
     assert invoke(capsys, "smooth", "psi", "--x", "10", "--y", "1")[:2] == (EXIT_OK, "1\n")
+
+
+@given(
+    sign=st.sampled_from(["", "+", "-"]),
+    whole=st.integers(min_value=0, max_value=10**20),
+    frac=st.none() | st.text("0123456789", max_size=6),
+    k=st.integers(min_value=-30, max_value=4030),
+)
+@example(sign="", whole=1, frac=None, k=23)  # a float read gives 99999999999999991611392
+@example(sign="", whole=9007199254740993, frac=None, k=0)  # a float read gives ...992
+@example(sign="", whole=1, frac=None, k=309)  # a float read overflows
+@example(sign="", whole=1, frac=None, k=4000)
+@example(sign="", whole=1, frac=None, k=4001)
+@example(sign="", whole=10, frac="", k=3999)
+@example(sign="", whole=150, frac=None, k=-1)
+@example(sign="", whole=1, frac="5", k=0)
+@example(sign="-", whole=0, frac="00", k=7)
+def test_e_notation_is_read_exactly(sign, whole, frac, k):
+    text = f"{sign}{whole}e{k}" if frac is None else f"{sign}{whole}.{frac}e{k}"
+    frac = frac or ""
+    value = Fraction(int(f"{whole}{frac}")) * Fraction(10) ** (k - len(frac))
+    if (sign == "-" and value) or value.denominator != 1:
+        with pytest.raises(DomainError):
+            parse_natural(text)
+    elif value >= 10**4001:
+        with pytest.raises(ResourceError):
+            parse_natural(text)
+    else:
+        assert parse_natural(text) == value
+
+
+def test_e_notation_on_the_command_line(capsys):
+    code, out, err = invoke(capsys, "nc", "count", "--limit", "1e23")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert "x=100000000000000000000000 exceeds" in err
+    assert invoke(capsys, "nc", "count", "--limit", "2.5e1") == invoke(capsys, "nc", "count", "--limit", "25")
+    assert invoke(capsys, "nc", "count", "--limit", "1.5e0")[:2] == (EXIT_DOMAIN, "")
+    # The notation range is checked before the integer is built, so a huge exponent exits 2 at once.
+    for text in ("1e99999999999", "10^99999999999", "1e4001", ".5e4002"):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "smooth", "psi", "--x", "10", "--y", text)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert "notation range" in err and "Traceback" not in err
+    assert invoke(capsys, "smooth", "psi", "--x", "10", "--y", "-1e99999")[:2] == (EXIT_DOMAIN, "")
 
 
 def test_help_exits_zero(capsys):
