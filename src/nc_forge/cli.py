@@ -29,13 +29,15 @@ from .construction import (
 )
 from .errors import DomainError, ResourceError
 from .novak import count_nc, is_nc_criterion, list_nc
-from .sieve import build_tables, check_budget, check_ceiling, prime_count_bound
+from .sieve import build_tables, check_budget, check_ceiling
 from .smoothness import (
     YRule,
+    check_shift_domain,
+    check_z_values,
     conjecture_table,
     dickman_rho,
     pi_smooth_count,
-    pi_table_bytes,
+    psi_charge,
     psi_count,
     rows_to_csv,
     rows_to_json,
@@ -48,7 +50,6 @@ EXIT_MISMATCH = 3
 EXIT_PIPE = 141  # what a shell reports for a writer that SIGPIPE ends
 
 CONSTRUCT_ALL_CAP = 20  # 2^pi members; refuse beyond this many set bits
-PRIME_LIST_BYTES = 48  # a prime smooth psi lists: its sieve entry, a list slot and its int
 Z_VALUE_BYTES = 40  # a z of a range: its list slot and its int
 MAX_NOTATION_DIGITS = 4001  # up to 10^4000, so every value prints: str() stops at 4 300 digits
 
@@ -182,12 +183,8 @@ def _cmd_nc_list(args) -> int:
 
 def _cmd_smooth_psi(args) -> int:
     x, y = parse_natural(args.x), parse_natural(args.y)
-    check_ceiling("x", x)  # before pi_table_bytes, whose next prime above y is found by trial division
-    if y < x:  # psi_count lists the primes <= y and builds a pi table; for y >= x neither
-        check_budget(
-            {"prime list": PRIME_LIST_BYTES * prime_count_bound(y), "pi table": pi_table_bytes(x, y)},
-            args.limit_memory,
-        )
+    check_ceiling("x", x)  # first, so a huge x is refused by name before anything is charged
+    check_budget(psi_charge(x, y), args.limit_memory)
     c = psi_count(x, y)
     if args.format == "json":
         _emit({"x": x, "y": y, "psi": c})
@@ -199,7 +196,8 @@ def _cmd_smooth_psi(args) -> int:
 def _cmd_smooth_pi(args) -> int:
     x, y = parse_natural(args.x), parse_natural(args.y)
     check_ceiling("x", x)
-    tables = build_tables(max(x, 2), memory_budget=args.limit_memory)
+    check_shift_domain("pi_smooth_count", x, y)  # before the tables are built
+    tables = build_tables(x, memory_budget=args.limit_memory)
     c = pi_smooth_count(x, y, tables.primes, tables.factors)
     if args.format == "json":
         _emit({"x": x, "y": y, "pi_smooth": c})
@@ -220,7 +218,8 @@ def _cmd_smooth_rho(args) -> int:
 def _cmd_conjecture(args) -> int:
     zs = _parse_z_values(args.z, args.limit_memory)
     rule = parse_y_rule(args.y_rule)
-    tables = build_tables(max([2, *zs]), memory_budget=args.limit_memory)
+    zs = check_z_values("conjecture_table", zs, rule)  # before the tables are built
+    tables = build_tables(zs[-1], memory_budget=args.limit_memory)
     rows = conjecture_table(zs, rule, tables)
     if args.format == "json":
         _emit(rows_to_json(rows))

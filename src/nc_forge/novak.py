@@ -13,10 +13,11 @@ the set of prime factors of n > 1.  Then n is a member exactly when S is
 in S) and M(S) = lcm(prod S, lcm of q-1 over q in S) divides n.  So the
 members above 1 are the numbers M(S)*k, one for each closed S and each
 k <= x / M(S) whose prime factors all lie in S; S is n's own support, so
-each member arises once.  Closed sets are enumerated depth first over the
-primes in increasing order: the prime factors of q-1 are smaller than q,
-so their membership is settled before q is tried.  Only primes up to
-isqrt(x) + 1 can occur, because q(q-1) divides M(S) <= x for odd q in S.
+each member arises once, and count_nc counts the k that list_nc lists.
+Closed sets are enumerated depth first over the primes in increasing order:
+the prime factors of q-1 are smaller than q, so their membership is settled
+before q is tried.  Only primes up to isqrt(x) + 1 can occur, because
+q(q-1) divides M(S) <= x for odd q in S.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import NamedTuple
 
 from .errors import DomainError, show_int
 from .sieve import FactorTable, check_ceiling, prime_powers, sieve_primes
-from .smoothness import count_smooth
 
 
 class NovakVerdict(NamedTuple):
@@ -108,21 +108,21 @@ def _smooth_numbers(y: int, primes: list[int]) -> list[int]:
     return out
 
 
+def _cofactors(name: str, x: int) -> Iterator[tuple[int, list[int]]]:
+    """(M(S), the k <= x // M(S) whose prime factors all lie in S) for each closed S."""
+    if x < 1:
+        raise DomainError(f"{name} needs x >= 1, got {show_int(x)}")
+    check_ceiling("x", x)
+    if x > 1:
+        for s, m in _closed_sets(x):
+            yield m, _smooth_numbers(x // m, s)
+
+
 def count_nc(x: int) -> int:
     """Exact count of Novak-Carmichael numbers <= x (n = 1 included)."""
-    if x < 1:
-        raise DomainError(f"count_nc needs x >= 1, got {show_int(x)}")
-    check_ceiling("x", x)
-    if x == 1:
-        return 1
-    return 1 + sum(count_smooth(x // m, s) for s, m in _closed_sets(x))
+    return 1 + sum(len(ks) for _, ks in _cofactors("count_nc", x))
 
 
 def list_nc(x: int) -> list[int]:
     """Ordered members <= x; length equals count_nc(x)."""
-    if x < 1:
-        raise DomainError(f"list_nc needs x >= 1, got {show_int(x)}")
-    check_ceiling("x", x)
-    if x == 1:
-        return [1]
-    return [1] + sorted(m * k for s, m in _closed_sets(x) for k in _smooth_numbers(x // m, s))
+    return [1] + sorted(m * k for m, ks in _cofactors("list_nc", x) for k in ks)

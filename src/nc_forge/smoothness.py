@@ -1,12 +1,13 @@
 """Smooth-number counts, shifted-smooth prime sets, and the Dickman rho function.
 
 Psi(x, y) is counted by count_smooth from the primes <= y and a table of
-pi(x // j): a term whose range leaves each n room for at most one prime
-factor above the primes it allows is a leaf, summed from the table instead
-of recursed into.  Pi(x, y) and the set P(x, y) take one of two exact
-routes, chosen from (x, y) alone.  The walk goes up the spf chain of each
-p - 1, PI_CHUNK primes at a time, and stops as soon as the cofactor left is
-at most y or a prime factor above y turns up.  Where the estimate
+pi(x // j) below (y + 1)^2: a term whose range leaves each n room for at
+most one prime factor above the primes it allows (y + 1 standing in for the
+first prime above y) is a leaf, summed from the table instead of recursed
+into.  Pi(x, y) and the set P(x, y) take one of two exact routes, chosen
+from (x, y) alone.  The walk goes up the spf chain of each p - 1, PI_CHUNK
+primes at a time, and stops as soon as the cofactor left is at most y or a
+prime factor above y turns up.  Where the estimate
 x rho(log x / log y) of the y-smooth shifts is at most ENUMERATE_SHARE of
 pi(x), the one rule, the odd y-smooth cofactors k are enumerated instead and
 each 2^a k + 1 is looked up in the factor table, one doubling level at a
@@ -24,13 +25,13 @@ import logging
 import math
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .sieve import FactorTable, PrimeTable, Tables, check_ceiling, sieve_primes
+from .sieve import FactorTable, PrimeTable, Tables, check_ceiling, prime_count_bound, sieve_primes
 
 logger = logging.getLogger(__name__)
 
@@ -98,14 +99,6 @@ class YRule:
         return y
 
 
-def _next_prime(n: int) -> int:
-    """The least prime above n >= 1, by trial division."""
-    q = n + 1
-    while q > 2 and any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
-        q += 1
-    return q
-
-
 def _pi_entries(x: int, limit: int) -> tuple[int, int, int]:
     """(n, j0, j1) of the pi table of x up to limit: n small entries, large j0..j1; see _pi_table."""
     r = math.isqrt(x)
@@ -153,41 +146,36 @@ def _pi_table(x: int, limit: int, primes: Sequence[int]) -> tuple[memoryview, me
     return small.data, large.data, j0
 
 
-def count_smooth(x: int, primes: Sequence[int], complete: int = 0) -> int:
-    """Count the n <= x (n = 1 included) whose prime factors all lie in primes (ascending).
+def count_smooth(x: int, primes: Sequence[int], y: int) -> int:
+    """Psi(x, y) for 2 <= y < x; primes are the primes <= y, ascending.
 
     Grouping n > 1 by its largest prime factor p_j gives the memoised recursion
     C(m, k) = 1 + sum over j < k with p_j <= m of C(m // p_j, j + 1) (Hildebrand and
     Tenenbaum, JTNB 5, 1993).  Each level divides m by 2 or more: depth <= log2(x).
-    C(m, 1) counts the powers of p_0, m.bit_length() of them when p_0 = 2.
-
-    complete > 0 says that primes are exactly the primes <= complete; let p_k be
-    the first prime above complete when k = len(primes).  Then C(m, k) = m when
-    p_k > m, and C(m, k) is a leaf when p_k^2 > m: each n <= m has at most one
-    prime factor outside p_0..p_{k-1}, and it is p_k or more, so
-    C(m, k) = m - sum over t <= m // p_k of (pi(m // t) - k).
-    Every m // t is some x // j <= min(x, p_k^2 - 1), read from a _pi_table.
-    With complete = 0 no table is built and no term is a leaf.
+    C(m, 1) counts the powers of 2, m.bit_length() of them, and C(m, k) = m when
+    every prime <= m is allowed and m <= y.  Let q = p_k, or y + 1 for k = len(primes).
+    C(m, k) is a leaf when q^2 > m: each n <= m has at most one prime factor outside
+    p_0..p_{k-1}, and it is q or more, so C(m, k) = m - sum over t <= m // q of
+    (pi(m // t) - k).  A t with y < m // t below the first prime above y adds 0, so
+    y + 1 serves.  Every m // t is some x // j <= min(x, (y + 1)^2 - 1), from a _pi_table.
     """
     memo: dict[tuple[int, int], int] = {}
-    if complete:
-        q = _next_prime(complete)
-        small, large, j0 = _pi_table(x, min(x, q * q - 1), primes)
-        r = math.isqrt(x)
+    small, large, j0 = _pi_table(x, min(x, (y + 1) ** 2 - 1), primes)
+    r = math.isqrt(x)
 
     def count(m: int, k: int) -> int:
         below = bisect_right(primes, m)
         if k >= below:
-            if m <= complete:
+            if m <= y:
                 return m
             k = below  # primes above m divide no n <= m
-        if k == 1 and primes[0] == 2:
+        if k == 1:
             return m.bit_length()
         key = (m, k)
         total = memo.get(key)
         if total is None:
-            if complete and (p_k := q if k == len(primes) else primes[k]) ** 2 > m:
-                t_end = m // p_k
+            if (q := y + 1 if k == len(primes) else primes[k]) ** 2 > m:
+                t_end = m // q
                 t_mid = min(t_end, m // (r + 1))  # up to here m // t > isqrt(x)
                 total = m + k * t_end
                 for t in range(1, t_mid + 1):
@@ -205,21 +193,28 @@ def count_smooth(x: int, primes: Sequence[int], complete: int = 0) -> int:
 
 
 PI_ENTRY_BYTES = 12  # a pi-table entry: its int64 and at most half as much in temporaries
+PRIME_LIST_BYTES = 48  # a prime psi_count lists: its sieve entry, a list slot and its int
 
 
 def pi_table_bytes(x: int, y: int) -> int:
-    """Bytes charged for the pi table that psi_count(x, y) builds, y < x."""
-    q = _next_prime(y)
-    n, j0, j1 = _pi_entries(x, min(x, q * q - 1))
+    """Bytes charged for the pi table that psi_count(x, y) builds, y < x: its v < (y + 1)^2."""
+    n, j0, j1 = _pi_entries(x, min(x, (y + 1) ** 2 - 1))
     return PI_ENTRY_BYTES * (n + max(0, j1 - j0 + 1))
+
+
+def psi_charge(x: int, y: int) -> dict[str, int]:
+    """What psi_count(x, y) builds, as check_budget's {name: bytes}; nothing unless 2 <= y < x."""
+    if not 2 <= y < x:
+        return {}
+    return {"prime list": PRIME_LIST_BYTES * prime_count_bound(y), "pi table": pi_table_bytes(x, y)}
 
 
 def psi_count(x: int, y: int, table: FactorTable | None = None) -> int:
     """Count the y-smooth integers n <= x (n = 1 included), from the primes <= y and a pi table.
 
     Beside the list of the primes <= y, count_smooth builds a table of pi(v) for the
-    v = x // j below q^2, q the first prime above y: min(isqrt(x), q^2 - 1) + 1 int64
-    entries for v <= isqrt(x) and one for each larger such v, at most isqrt(x).  The
+    v = x // j below (y + 1)^2: min(isqrt(x), (y + 1)^2 - 1) + 1 int64 entries for
+    v <= isqrt(x) and one for each larger such v, at most isqrt(x).  The
     primes <= y come from sieve_primes(y); no factor table is read, not even for its
     zeros.  One that is passed bounds the domain: x above table.limit raises
     DomainError.  Without one, x above 2^40 raises ResourceError.
@@ -236,10 +231,16 @@ def psi_count(x: int, y: int, table: FactorTable | None = None) -> int:
         return x
     if y < 2:
         return 1
-    return count_smooth(x, sieve_primes(y).primes.tolist(), complete=y)
+    return count_smooth(x, sieve_primes(y).primes.tolist(), y)
 
 
 Masks = Iterator[tuple[np.ndarray, np.ndarray]]  # (candidates, mask); the marked ones are members
+
+
+def check_shift_domain(name: str, x: int, y: int) -> None:
+    """DomainError, naming the caller name, unless x >= 2 and y >= 1: Pi and P's domain."""
+    if x < 2 or y < 1:
+        raise DomainError(f"{name} needs x >= 2 and y >= 1, got x={x}, y={y}")
 
 
 def _walk_masks(x: int, y: int, primes: PrimeTable, table: FactorTable) -> Masks:
@@ -334,8 +335,7 @@ def _shifted_smooth_masks(
     the walk when its cofactors outgrow SHIFT_WORKING_BYTES.  Either route
     holds at most SHIFT_WORKING_BYTES beside the tables.  y < 2 keeps only p = 2.
     """
-    if x < 2 or y < 1:
-        raise DomainError(f"{name} needs x >= 2 and y >= 1, got x={x}, y={y}")
+    check_shift_domain(name, x, y)
     if x > primes.limit or x - 1 > table.limit:
         raise DomainError(f"x={x} exceeds table limits")
     y = min(y, x - 1)  # no factor of p-1 exceeds x-1
@@ -454,15 +454,23 @@ def _round_sig(v: float, digits: int = 12) -> float:
     return float(f"{v:.{digits}g}")
 
 
+def check_z_values(name: str, z_values: Iterable[int], y_rule: YRule) -> list[int]:
+    """The z values sorted; DomainError unless there are some, each >= 2, where y_rule gives a y."""
+    zs = sorted(int(z) for z in z_values)
+    if not zs or zs[0] < 2:  # pi(z) > 0 and log(log z) need z >= 2
+        raise DomainError(f"{name} needs z values, each at least 2")
+    y_rule.y_for(zs[0])  # y_for is monotone in z, so the two ends bound every y
+    y_rule.y_for(zs[-1])
+    return zs
+
+
 def conjecture_table(
     z_values: Sequence[int],
     y_rule: YRule,
     tables: Tables,
 ) -> list[ConjectureRow]:
     """Exact ratio rows: shifted-smooth primes over all primes vs smooth integers over z."""
-    zs = sorted(int(z) for z in z_values)
-    if not zs or zs[0] < 2:
-        raise DomainError("conjecture_table needs z values, each at least 2")
+    zs = check_z_values("conjecture_table", z_values, y_rule)
     rows = []
     for z in zs:
         if z > tables.limit:
@@ -500,15 +508,7 @@ def rows_to_csv(rows: Iterable[ConjectureRow]) -> str:
 
 def rows_to_json(rows: Iterable[ConjectureRow]) -> list[dict]:
     return [
-        {
-            "z": r.z,
-            "y": r.y,
-            "pi": r.pi,
-            "pi_smooth": r.pi_smooth,
-            "psi": r.psi,
-            "lhs_ratio": _round_sig(r.lhs_ratio),
-            "rhs_ratio": _round_sig(r.rhs_ratio),
-        }
+        {**asdict(r), "lhs_ratio": _round_sig(r.lhs_ratio), "rhs_ratio": _round_sig(r.rhs_ratio)}
         for r in rows
     ]
 
@@ -518,13 +518,11 @@ def hildebrand_report(
     tables: Tables,
 ) -> list[HildebrandRow]:
     """Observed exponent e(z) = -log(psi/z) / (sqrt(log z) loglog z) at y = round(e^sqrt(log z))."""
-    zs = sorted(int(z) for z in z_values)
-    if not zs or zs[0] < 2:  # log(log z) needs z > 1
-        raise DomainError("hildebrand_report needs z values, each at least 2")
+    rule = YRule("hild")
     rows = []
-    for z in zs:
+    for z in check_z_values("hildebrand_report", z_values, rule):
         lz = math.log(z)
-        y = YRule("hild").y_for(z)
+        y = rule.y_for(z)
         n_smooth = psi_count(z, y, tables.factors)
         ratio = n_smooth / z
         exponent = -math.log(ratio) / (math.sqrt(lz) * math.log(lz))

@@ -13,9 +13,11 @@ enumerates its 24 055 odd smooth cofactors, at y = 3162, which walks every
 prime, and at y = 200, a walk just past the choice (which enumerates up to
 y = 159 at 10^7).  Psi(10^9, 31 622) and Psi(10^10, 10^5) are
 the large points, where y is near sqrt(x) and each count is mostly its pi
-table.  The cold rho runs each round on a fresh coefficient cache: at
-u = 177, the last unit interval whose series is built, and at u = 390, the
-far end of the workload's cold rho, past the cutoff, where none is.
+table; Psi(10^9, 10^3) is the small-y point, where the leaves start below
+(y + 1)^2 and the recursion above them does most of the work.  The cold
+rho runs each round on a fresh coefficient cache: at u = 177, the last unit
+interval whose series is built, and at u = 390, the far end of the
+workload's cold rho, past the cutoff, where none is.
 """
 
 import math
@@ -59,7 +61,9 @@ def test_psi_count(benchmark, rule):
 
 
 @pytest.mark.parametrize(
-    "x, y, want", [(10**9, 31_622, 328_899_981), (10**10, 10**5, 3_265_474_310)], ids=["1e9", "1e10"]
+    "x, y, want",
+    [(10**9, 31_622, 328_899_981), (10**10, 10**5, 3_265_474_310), (10**9, 10**3, 59_244_184)],
+    ids=["1e9", "1e10", "1e9-small-y"],
 )
 def test_psi_count_large(benchmark, x, y, want):
     assert benchmark.pedantic(psi_count, args=(x, y), rounds=3) == want

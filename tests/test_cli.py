@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nc_forge import cli
 from nc_forge.certify import CERT_FIELDS, Schedule, certify_lower_bound
 from nc_forge.cli import (
     EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, parse_natural, run,
@@ -118,6 +119,30 @@ def test_the_ceiling_error_names_the_argument_given(capsys, argv, name):
     code, out, err = invoke(capsys, *argv.split())
     assert (code, out) == (EXIT_RESOURCE, "")
     assert f"{name}=10000000000000 exceeds the supported ceiling 2^40" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("smooth pi --x 10^9 --y 0", "needs x >= 2 and y >= 1, got x=1000000000, y=0"),
+        ("smooth pi --x 1 --y 5", "needs x >= 2 and y >= 1, got x=1, y=5"),
+        ("conjecture --z 1,10^9 --y-rule hild", "needs z values, each at least 2"),
+        ("conjecture --z 10^9 --y-rule fixed:0", "y=0 < 1 at z=1000000000"),
+        ("conjecture --z 2,10^9 --y-rule power:1000", "overflows y at z=1000000000"),
+    ],
+)
+def test_domain_errors_come_before_the_tables(capsys, monkeypatch, argv, message):
+    """Refused before build_tables runs, which at 10^9 charges about 1.4 GB and takes seconds."""
+
+    def refuse(limit, memory_budget=None):
+        raise AssertionError(f"tables built to {limit}")
+
+    monkeypatch.setattr(cli, "build_tables", refuse)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert message in err and "Traceback" not in err
 
 
 def test_construct_member(capsys):
@@ -268,7 +293,7 @@ def test_memory_budget_flag(capsys):
     )
     assert code == EXIT_RESOURCE
     assert "factor table" in err and "prime array" in err
-    # Psi builds no factor table: its prime list and its pi table of the v < 7^2 fit 1000 bytes.
+    # Psi builds no factor table: its prime list and its pi table of the v < 6^2 fit 1000 bytes.
     code, out, _ = invoke(
         capsys, "smooth", "psi", "--x", "10^6", "--y", "5", "--limit-memory", "1000"
     )
@@ -292,7 +317,7 @@ def test_smooth_psi_budget_bounds_its_prime_list(capsys):
         capsys, "smooth", "psi", "--x", "10^9", "--y", "10^9", "--limit-memory", "10^7"
     )
     assert (code, out) == (EXIT_OK, "1000000000\n")
-    # The ceiling is checked before the charge, whose next prime above y is found by trial division.
+    # The ceiling is checked first, so a huge x is refused by name, before anything is charged.
     for x, y in (("10^13", "10^13"), ("10^13", "10^12"), ("10^30", "10^29")):
         start = time.perf_counter()
         code, out, err = invoke(capsys, "smooth", "psi", "--x", x, "--y", y)

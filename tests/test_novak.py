@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nc_forge import smoothness
 from nc_forge.errors import DomainError, ResourceError
 from nc_forge.novak import carmichael_lambda, count_nc, is_nc_criterion, list_nc
 from nc_forge.sieve import build_tables, prime_powers
@@ -141,18 +140,7 @@ def test_closure_under_prime_multiplication(tables_small):
 
 
 def test_segmented_agrees_with_monolithic():
-    """The closed-set enumeration agrees with the criterion sieve oracle."""
-    assert count_nc(10**6) == int(nc_flags_sieve(10**6).sum())
-    assert list_nc(10**5) == np.flatnonzero(nc_flags_sieve(10**5)).tolist()
-
-
-def test_counting_builds_no_pi_table(monkeypatch):
-    """Closed sets are not all the primes up to their largest, so no term is a pi-table leaf."""
-
-    def refuse(x, limit, primes):
-        raise AssertionError(f"pi table built for x={x}")
-
-    monkeypatch.setattr(smoothness, "_pi_table", refuse)
+    """The closed-set walk, set by set, agrees with the whole-range criterion sieve oracle."""
     assert count_nc(10**6) == 4292 == int(nc_flags_sieve(10**6).sum())
     assert list_nc(10**5) == np.flatnonzero(nc_flags_sieve(10**5)).tolist()
 

@@ -16,8 +16,10 @@ from nc_forge.sieve import (
     prime_powers,
     sieve_primes,
 )
-from nc_forge.cli import EXIT_OK, EXIT_RESOURCE, PRIME_LIST_BYTES, run
-from nc_forge.smoothness import pi_smooth_count, pi_table_bytes, psi_count, shifted_smooth_set
+from nc_forge.cli import EXIT_OK, EXIT_RESOURCE, run
+from nc_forge.smoothness import (
+    PRIME_LIST_BYTES, pi_smooth_count, pi_table_bytes, psi_count, shifted_smooth_set,
+)
 
 from oracles import flag_sieve, spf_many, trial_factorize, trial_primes, trial_spf
 

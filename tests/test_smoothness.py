@@ -15,7 +15,6 @@ from nc_forge.smoothness import (
     CSV_HEADER,
     YRule,
     conjecture_table,
-    count_smooth,
     hildebrand_report,
     pi_smooth_count,
     psi_count,
@@ -61,11 +60,15 @@ def icbrt(n):
 
 def leaf_edges(test):
     """Examples where count_smooth's leaves start: x next to q^2, q prime, with y at
-    q - 1, q and the prime below q; then y = isqrt(x) and y = icbrt(x)."""
+    q - 1, q and the prime below q; x next to (y + 1)^2 for a prime y, where y + 1
+    bounds the first prime above y; then y = isqrt(x) and y = icbrt(x)."""
     for q in (3, 5, 31, 97, 997):
         for x in (q * q - 1, q * q, q * q + 1):
             for y in {q - 1, q, trial_primes(q - 1)[-1]}:
                 test = example(x=x, y=y)(test)
+    for y in (3, 31, 97, 997):
+        for x in ((y + 1) ** 2 - 1, (y + 1) ** 2, (y + 1) ** 2 + 1):
+            test = example(x=x, y=y)(test)
     for x in (5_000, 123_457, 999_999, 10**6):
         for y in (math.isqrt(x), icbrt(x)):
             test = example(x=x, y=y)(test)
@@ -90,10 +93,12 @@ def test_psi_matches_brute_force(tables_small, x, y):
     mask=st.lists(st.booleans(), min_size=len(SMALL_PRIMES), max_size=len(SMALL_PRIMES)),
 )
 def test_count_smooth_matches_listing_and_brute_force(supports, x, mask):
+    """_smooth_numbers, the listing count_nc and list_nc share, over arbitrary supports;
+    test_psi_matches_brute_force covers count_smooth, which takes only the primes <= y."""
     s = [p for p, keep in zip(SMALL_PRIMES, mask) if keep]
     allowed = set(s)
     brute = sum(1 for n in range(1, x + 1) if supports[n] <= allowed)
-    assert count_smooth(x, s) == len(_smooth_numbers(x, s)) == brute
+    assert len(_smooth_numbers(x, s)) == brute
 
 
 def test_psi_pinned_at_1e7(tables_1e7):
@@ -104,7 +109,8 @@ def test_psi_pinned_at_1e7(tables_1e7):
 
 
 def test_psi_pinned_above_the_tables():
-    """The top term is a leaf here: 31 627, the first prime above y, exceeds sqrt(10^9)."""
+    """The top term is a leaf here: 31 623 = y + 1, the bound that stands in for the first
+    prime above y, exceeds sqrt(10^9)."""
     assert psi_count(10**9, 31_622) == 328_899_981
 
 
