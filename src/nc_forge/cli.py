@@ -163,7 +163,7 @@ def _cmd_nc_check(args) -> int:
 
 def _cmd_nc_count(args) -> int:
     x = parse_natural(args.limit)
-    c = count_nc(x)
+    c = count_nc(x, memory_budget=args.limit_memory)
     if args.format == "json":
         _emit({"x": x, "count": c})
     else:
@@ -173,7 +173,7 @@ def _cmd_nc_count(args) -> int:
 
 def _cmd_nc_list(args) -> int:
     x = parse_natural(args.limit)
-    members = list_nc(x)
+    members = list_nc(x, memory_budget=args.limit_memory)
     if args.format == "json":
         _emit(members)
     else:
@@ -339,7 +339,8 @@ def build_parser() -> _Parser:
     common.add_argument(
         "--limit-memory", type=parse_natural, default=None, metavar="BYTES",
         help="byte budget for the factor table and prime array a command builds, "
-        "for smooth psi's prime list and pi table and conjecture's z range (default 2 GiB)",
+        "for smooth psi's prime list and pi table, conjecture's z range "
+        "and nc count's and nc list's counters and list (default 2 GiB)",
     )
 
     # --help stops before the pipe note: perfbench/golden.json records its text byte for byte

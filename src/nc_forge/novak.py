@@ -14,20 +14,43 @@ in S) and M(S) = lcm(prod S, lcm of q-1 over q in S) divides n.  So the
 members above 1 are the numbers M(S)*k, one for each closed S and each
 k <= x / M(S) whose prime factors all lie in S; S is n's own support, so
 each member arises once, and count_nc counts the k that list_nc lists.
-Closed sets are enumerated depth first over the primes in increasing order:
-the prime factors of q-1 are smaller than q, so their membership is settled
-before q is tried.  Only primes up to isqrt(x) + 1 can occur, because
-q(q-1) divides M(S) <= x for odd q in S.
+Only primes up to isqrt(x) + 1 can occur, because q(q-1) divides M(S) <= x
+for odd q in S.
+
+Closed sets are enumerated depth first, each S grown by primes above its
+largest, with counters in place of closure tests.  One spf walk over the
+table to isqrt(x) + 1 gives, for each odd prime q there, need[q], the
+number of odd primes of q-1 not yet in S, and watchers[p], the q with
+p | q-1 in increasing order.  The sorted ready list holds the q whose need
+is 0: exactly the primes that keep S closed, so children are read from it
+alone.  Adding r to S decrements need for the watchers w of r up to
+x // M(S + {r}) only, since every set below S + {r} that takes w has
+M >= M(S + {r}) * w; the w that reach 0 join ready.  Backtracking undoes
+both.  A node thus does work in proportion to its children and to the
+watchers it wakes, not to the number of primes.
+
+Beside its output, counting holds the table to isqrt(x) + 1 while the
+counters are built, and the counters (COUNTER_BYTES per prime) while the
+sets are walked; list_nc charges its members at MEMBER_BYTES each as the
+walk finds them, so every call fits the memory budget it is given.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterator
 from typing import NamedTuple
 
 from .errors import DomainError, show_int
-from .sieve import FactorTable, check_ceiling, prime_powers, sieve_primes
+from .sieve import (
+    FactorTable, build_tables, check_budget, check_ceiling, prime_count_bound, prime_powers, table_charge,
+)
+
+# Per prime <= isqrt(x) + 1: its need byte, its watcher list and its places in
+# others'; tracemalloc reads 83-87 bytes a prime up to x = 2^40.
+COUNTER_BYTES = 112
+MEMBER_BYTES = 48  # per list_nc member: a 32-byte int below 2^60, its list slot, growth and sort room
 
 
 class NovakVerdict(NamedTuple):
@@ -43,6 +66,11 @@ class NovakVerdict(NamedTuple):
     witness: int | None = None
 
 
+# Builds a NovakVerdict from all four fields, as NamedTuple._make does, without
+# its Python-level __new__, which took half the time of a point query on a table.
+_verdict = tuple.__new__
+
+
 def is_nc_criterion(n: int, table: FactorTable | None = None) -> NovakVerdict:
     """Divisor criterion: every prime p | n must satisfy (p-1) | n.
 
@@ -51,12 +79,22 @@ def is_nc_criterion(n: int, table: FactorTable | None = None) -> NovakVerdict:
     (n <= table.limit) and by trial division over the primes <= sqrt(n)
     otherwise (n <= 2^40).  Verdict and witness do not depend on the
     factor source: a table is optional and only speeds up many queries
-    below its limit.
+    below its limit.  On a table the odd spf chain is walked here and left
+    at the first failing p, so most n cost one or two steps.
     """
     if n < 1:
         raise DomainError(f"is_nc_criterion needs n >= 1, got {n}")
     if n == 1:
         return NovakVerdict(1, True)
+    if table is not None and n <= table.limit:
+        spf = table.spf_view
+        m = n >> ((n & -n).bit_length() - 1)  # the odd part: p = 2 always passes
+        while m > 1:  # the chain ascends, so the first failure is the smallest
+            p = spf[m >> 1] or m  # 0 marks a prime
+            if n % (p - 1):
+                return _verdict(NovakVerdict, (n, False, "prime", p))
+            m //= p  # a repeated p passes again
+        return _verdict(NovakVerdict, (n, True, None, None))
     for p, _ in prime_powers(n, table):  # ascending, so the first failure is the smallest
         if p > 2 and n % (p - 1):
             return NovakVerdict(n, False, "prime", p)
@@ -75,24 +113,59 @@ def carmichael_lambda(n: int, table: FactorTable | None = None) -> int:
     return math.lcm(*parts)
 
 
+def _counters(root: int) -> tuple[bytearray, dict[int, list[int]], list[int]]:
+    """need, watchers and ready over the odd primes q <= root, from one spf walk of each q - 1.
+
+    need[q >> 1] is the number of odd primes dividing q - 1, watchers[p]
+    lists the q with p | q - 1 in increasing order, and ready lists the q
+    whose need is 0 (q - 1 a power of 2).
+    """
+    tables = build_tables(root)
+    spf = tables.factors.spf_view
+    need = bytearray((root + 1) // 2)
+    watchers: dict[int, list[int]] = {}
+    odd_primes = tables.primes.primes[1:].tolist()
+    for q in odd_primes:
+        m = q - 1
+        m >>= (m & -m).bit_length() - 1  # the odd part of q - 1
+        while m > 1:
+            p = spf[m >> 1] or m
+            watchers.setdefault(p, []).append(q)
+            need[q >> 1] += 1
+            while m % p == 0:
+                m //= p
+    ready = [q for q in odd_primes if not need[q >> 1]]
+    return need, watchers, ready
+
+
 def _closed_sets(x: int) -> Iterator[tuple[list[int], int]]:
     """Every closed prime set S with M(S) <= x, as (S ascending, M(S)); needs x >= 2."""
-    primes = sieve_primes(math.isqrt(x) + 1).primes.tolist()
+    need, watchers, ready = _counters(math.isqrt(x) + 1)
 
-    def extend(s: list[int], prod_s: int, m: int, start: int) -> Iterator[tuple[list[int], int]]:
+    def extend(s: list[int], m: int) -> Iterator[tuple[list[int], int]]:
         yield s, m
-        for j in range(start, len(primes)):
-            q = primes[j]
+        j = bisect_right(ready, s[-1])
+        while j < len(ready):  # each child restores ready before the next is read
+            q = ready[j]
             if m * q > x:  # M only grows, and so does q
                 return
-            # q-1 divides prod_s^b, where its bit length b bounds every
-            # exponent, exactly when every prime factor of q-1 lies in S.
-            if pow(prod_s, (q - 1).bit_length(), q - 1) == 0:
-                grown = math.lcm(m, q - 1) * q
-                if grown <= x:
-                    yield from extend(s + [q], prod_s * q, grown, j + 1)
+            grown = math.lcm(m, q - 1) * q
+            if grown <= x:
+                # A watcher w joins a descendant only if M grows by w at least.
+                ws = watchers.get(q, ())
+                woken = ws[: bisect_right(ws, x // grown)]
+                for w in woken:
+                    need[w >> 1] -= 1
+                    if not need[w >> 1]:
+                        insort(ready, w)
+                yield from extend(s + [q], grown)
+                for w in woken:
+                    if not need[w >> 1]:
+                        del ready[bisect_left(ready, w)]
+                    need[w >> 1] += 1
+            j += 1
 
-    yield from extend([2], 2, 2, 1)
+    yield from extend([2], 2)
 
 
 def _smooth_numbers(y: int, primes: list[int]) -> list[int]:
@@ -108,21 +181,41 @@ def _smooth_numbers(y: int, primes: list[int]) -> list[int]:
     return out
 
 
-def _cofactors(name: str, x: int) -> Iterator[tuple[int, list[int]]]:
-    """(M(S), the k <= x // M(S) whose prime factors all lie in S) for each closed S."""
+def _charge(name: str, x: int) -> dict[str, int]:
+    """What counting to x holds beside its output, as {name: bytes}, once x is checked."""
     if x < 1:
         raise DomainError(f"{name} needs x >= 1, got {show_int(x)}")
     check_ceiling("x", x)
+    root = math.isqrt(x) + 1
+    return {**table_charge(root), "closure counters": COUNTER_BYTES * prime_count_bound(root)}
+
+
+def _cofactors(x: int) -> Iterator[tuple[int, list[int]]]:
+    """(M(S), the k <= x // M(S) whose prime factors all lie in S) for each closed S."""
     if x > 1:
         for s, m in _closed_sets(x):
             yield m, _smooth_numbers(x // m, s)
 
 
-def count_nc(x: int) -> int:
+def count_nc(x: int, *, memory_budget: int | None = None) -> int:
     """Exact count of Novak-Carmichael numbers <= x (n = 1 included)."""
-    return 1 + sum(len(ks) for _, ks in _cofactors("count_nc", x))
+    check_budget(_charge("count_nc", x), memory_budget)
+    return 1 + sum(len(ks) for _, ks in _cofactors(x))
 
 
-def list_nc(x: int) -> list[int]:
-    """Ordered members <= x; length equals count_nc(x)."""
-    return [1] + sorted(m * k for m, ks in _cofactors("list_nc", x) for k in ks)
+def list_nc(x: int, *, memory_budget: int | None = None) -> list[int]:
+    """Ordered members <= x; length equals count_nc(x).
+
+    The members are charged at MEMBER_BYTES each as the walk finds them:
+    the set that would overfill the budget is refused before its products
+    are built.
+    """
+    charge = _charge("list_nc", x)
+    room = check_budget(charge, memory_budget) // MEMBER_BYTES
+    members = [1]
+    for m, ks in _cofactors(x):
+        if len(members) + len(ks) > room:
+            check_budget({**charge, "member list": MEMBER_BYTES * (len(members) + len(ks))}, memory_budget)
+        members.extend(m * k for k in ks)
+    members.sort()
+    return members

@@ -41,16 +41,21 @@ def check_ceiling(name: str, value: int) -> None:
         raise ResourceError(f"{name}={show_int(value)} exceeds the supported ceiling 2^40")
 
 
-def check_budget(arrays: dict[str, int], memory_budget: int | None) -> None:
-    """ResourceError when the arrays a call will build, as {name: bytes}, exceed the budget."""
+def check_budget(arrays: dict[str, int], memory_budget: int | None) -> int:
+    """The bytes left once the arrays a call will build, as {name: bytes}, are charged.
+
+    ResourceError when they exceed the budget.
+    """
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    if sum(arrays.values()) > budget:
+    left = budget - sum(arrays.values())
+    if left < 0:
         sizes = " + ".join(f"{name} {show_int(n)}" for name, n in arrays.items())
         hint = "" if "factor table" not in arrays else (
             ".  sieve_primes, count_nc, list_nc, is_nc_criterion (nc check) "
-            "and psi_count (smooth psi) need no factor table"
+            "and psi_count (smooth psi) need no factor table to x"
         )
         raise ResourceError(f"{sizes} bytes exceed the {budget}-byte budget; raise the budget{hint}")
+    return left
 
 
 def prime_count_bound(limit: int) -> int:
@@ -210,24 +215,29 @@ def _strike_factor_table(limit: int) -> np.ndarray:
     return spf_odd
 
 
+def table_charge(limit: int) -> dict[str, int]:
+    """The bytes build_tables(limit) holds, as {name: bytes} for check_budget.
+
+    They are the factor table, the int64 prime array sized by
+    prime_count_bound, and the read piece: two pieces' bool flags, and their
+    int64 indices at one prime in two odd slots or fewer, since a piece's
+    arrays are freed only once the next piece's exist.
+    """
+    return {
+        "factor table": _factor_table_bytes(limit),
+        "prime array": 8 * prime_count_bound(limit),
+        "read piece": 10 * SIEVE_PIECE,
+    }
+
+
 def build_tables(limit: int, *, memory_budget: int | None = None) -> Tables:
     """A matched PrimeTable/FactorTable pair from one strike pass.
 
     The prime list is read off the factor table's zeros by _write_primes, one
-    SIEVE_PIECE slice of spf_odd == 0 at a time.  The budget covers the factor
-    table, the int64 prime array sized by prime_count_bound, and the read
-    piece: two pieces' bool flags, and their int64 indices at one prime in
-    two odd slots or fewer, since a piece's arrays are freed only once the
-    next piece's exist.  It is checked before the strike pass runs.
+    SIEVE_PIECE slice of spf_odd == 0 at a time.  The budget covers
+    table_charge(limit) and is checked before the strike pass runs.
     """
-    check_budget(
-        {
-            "factor table": _factor_table_bytes(limit),
-            "prime array": 8 * prime_count_bound(limit),
-            "read piece": 10 * SIEVE_PIECE,
-        },
-        memory_budget,
-    )
+    check_budget(table_charge(limit), memory_budget)
     spf_odd = _strike_factor_table(limit)
     pieces = range(0, len(spf_odd), SIEVE_PIECE)
     primes = _write_primes(limit, ((lo, spf_odd[lo : lo + SIEVE_PIECE] == 0) for lo in pieces))

@@ -2,7 +2,8 @@
 
 Everything here is deliberately slow and simple: trial division, a sieve
 of Eratosthenes with one flag per integer, a greatest-prime-factor sieve, a
-divisor-criterion sieve, the defining congruence over every base, subset
+divisor-criterion sieve, a closed-set search that tests every prime at
+every node, the defining congruence over every base, subset
 products by itertools.combinations, Pascal's triangle, and a trapezoid
 solver of the integral form of the rho delay equation.  None of it shares
 code with the package under test; spf_many only reads a factor table's
@@ -122,6 +123,30 @@ def nc_flags_sieve(x):
     big = np.flatnonzero(residual > 1)
     flags[big] &= n[big] % (residual[big] - 1) == 0
     return flags
+
+
+def closed_sets_scan(x):
+    """Every closed prime set S with M(S) <= x >= 2, as (S ascending, M(S)), by a scan over the primes.
+
+    Depth first, each node tries every prime q above its largest while
+    M(S) q <= x, and q joins when q - 1 divides prod(S)^b, b the bit length
+    of q - 1, which bounds every exponent: that is, when every prime factor
+    of q - 1 lies in S.
+    """
+    primes = flag_sieve(math.isqrt(x) + 1).tolist()
+
+    def extend(s, prod_s, m, start):
+        yield s, m
+        for j in range(start, len(primes)):
+            q = primes[j]
+            if m * q > x:
+                return
+            if pow(prod_s, (q - 1).bit_length(), q - 1) == 0:
+                grown = math.lcm(m, q - 1) * q
+                if grown <= x:
+                    yield from extend(s + [q], prod_s * q, grown, j + 1)
+
+    yield from extend([2], 2, 2, 1)
 
 
 def definition_witness(n):

@@ -306,6 +306,20 @@ def test_memory_budget_flag(capsys):
     assert "+ pi table 24000000 bytes exceed" in err
 
 
+def test_nc_list_is_charged_before_its_members_are_built(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "nc", "list", "--limit", "10^11", "--limit-memory", "10^6")
+    assert time.perf_counter() - start < 3
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err.startswith("resource error:") and "closure counters" in err
+    # At 10^9 the counters fit, and the member list outgrows the rest as the walk finds it.
+    code, out, err = invoke(capsys, "nc", "list", "--limit", "10^9", "--limit-memory", "10^6")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert "member list" in err
+    # nc count holds no list, so the same budget counts to 10^9.
+    assert invoke(capsys, "nc", "count", "--limit", "10^9", "--limit-memory", "10^6") == (EXIT_OK, "192826\n", "")
+
+
 def test_smooth_psi_budget_bounds_its_prime_list(capsys):
     code, out, err = invoke(
         capsys, "smooth", "psi", "--x", "10^10", "--y", "10^9", "--limit-memory", "10^7"

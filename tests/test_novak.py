@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nc_forge import novak
 from nc_forge.errors import DomainError, ResourceError
-from nc_forge.novak import carmichael_lambda, count_nc, is_nc_criterion, list_nc
+from nc_forge.novak import NovakVerdict, carmichael_lambda, count_nc, is_nc_criterion, list_nc
 from nc_forge.sieve import build_tables, prime_powers
 
-from oracles import definition_witness, group_exponent, nc_flags_sieve, trial_factorize
+from oracles import closed_sets_scan, definition_witness, group_exponent, nc_flags_sieve, trial_factorize
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +147,49 @@ def test_segmented_agrees_with_monolithic():
     assert list_nc(10**5) == np.flatnonzero(nc_flags_sieve(10**5)).tolist()
 
 
+def _sets(pairs):
+    return sorted((tuple(s), m) for s, m in pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=10**6))
+@example(2)
+@example(3)
+@example(10)
+@example(100)
+@example(10**4)
+@example(10**6)
+@example(10**7)
+def test_counter_dfs_matches_the_scan(x):
+    """The counter-driven walk yields the (S, M(S)) pairs of a scan that tests every prime at every node."""
+    assert _sets(novak._closed_sets(x)) == _sets(closed_sets_scan(x))
+
+
+def _peak(f, *args):
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_counting_fits_its_charge():
+    """count_nc holds at most its charge, list_nc that plus MEMBER_BYTES a member; a byte less is refused."""
+    x = 10**8
+    charge = sum(novak._charge("count_nc", x).values())
+    count, peak = _peak(count_nc, x)
+    assert peak <= charge
+    members, peak = _peak(list_nc, x)
+    whole = charge + novak.MEMBER_BYTES * len(members)
+    assert peak <= whole
+    assert count_nc(x, memory_budget=charge) == count == len(members) == 54_382
+    with pytest.raises(ResourceError, match="closure counters \\d+ bytes exceed"):
+        count_nc(x, memory_budget=charge - 1)
+    assert list_nc(x, memory_budget=whole) == members
+    with pytest.raises(ResourceError, match="member list \\d+ bytes exceed"):
+        list_nc(x, memory_budget=whole - 1)
+
+
 @pytest.mark.parametrize("x, want", [(10**8, 54_382), (10**9, 192_826)], ids=["1e8", "1e9"])
 def test_count_above_1e7(x, want):
     assert count_nc(x) == want
@@ -181,9 +226,25 @@ def test_witnesses_verify(tables_small, n):
 @example(2 * 10**6)
 @example(1_999_993)  # prime
 @example(1413 * 1413)  # cofactor square just below sqrt(2e6)
+@example(1 << 20)
 def test_table_free_criterion_matches_table(table_2e6, n):
     assert is_nc_criterion(n) == is_nc_criterion(n, table_2e6)
     assert carmichael_lambda(n) == carmichael_lambda(n, table_2e6)
+
+
+def test_table_walk_matches_table_free_on_every_n():
+    """The early-exit spf walk gives the table-free verdict and witness for every n up to the limit."""
+    t = build_tables(10**5).factors
+    assert [is_nc_criterion(n, t) for n in range(1, t.limit + 1)] == [
+        is_nc_criterion(n) for n in range(1, t.limit + 1)
+    ]
+    # Edges of the walk: no odd part (n = 1, 2, 2^k), and the table's last slot.
+    assert is_nc_criterion(1, t) == NovakVerdict(1, True)
+    assert all(is_nc_criterion(1 << k, t) == NovakVerdict(1 << k, True) for k in range(1, 17))
+    assert is_nc_criterion(t.limit, t) == NovakVerdict(10**5, True)
+    assert is_nc_criterion(t.limit - 1, t) == NovakVerdict(99_999, False, "prime", 3)
+    with pytest.raises(DomainError, match="outside table range"):
+        is_nc_criterion(t.limit + 1, t)
 
 
 def test_table_free_criterion_pinned_points():
