@@ -7,7 +7,12 @@ that D * max(P(s, r))^A stays at or below the threshold x (exact
 big-integer comparison, boundary E = x included).  Every size-A subset
 then yields a distinct member <= x, so binomial(pi, A) is a proven lower
 bound for the count up to x.  D and P(s, r) come from
-construction.build_family.  Enumeration streams at most ENUMERATION_CAP
+construction.build_family, whose one-entry memo lets a round trip
+(certify_lower_bound, verify_certificate and enumerate_certificate at the
+same s, r and budget) build them once.  binomial computes the count from
+the prime powers that Legendre's formula gives; CPython 3.11's math.comb
+takes about six times as long at binomial(21 400, 7 428), the count at
+e^100000.  Enumeration streams at most ENUMERATION_CAP
 members, one per itertools.combinations subset, keeping only their number
 and the largest; distinct subsets of the strictly increasing P(s, r) have
 distinct products, and the divisor criterion is checked once per distinct
@@ -39,6 +44,7 @@ from dataclasses import dataclass
 
 from .construction import build_family, int_from_decimal, int_to_decimal
 from .errors import DomainError, ResourceError
+from .sieve import sieve_primes
 
 MAX_NOTATION_EXPONENT = 10**6
 ENUMERATION_CAP = 100_000  # members enumerate_certificate walks at most
@@ -319,7 +325,7 @@ def certify_lower_bound(
         cur *= s
     a = min(a, pset.count)
 
-    count = math.comb(pset.count, a)
+    count = binomial(pset.count, a)
     return LowerBoundCertificate(
         x=x.text,
         r=r,
@@ -333,6 +339,33 @@ def certify_lower_bound(
         max_member_check=x.covers(base.value * max(pset.members) ** a),
         lemma2_applicable=a >= 1 and 2 * a <= pset.count + 2,
     )
+
+
+def binomial(n: int, k: int) -> int:
+    """binomial(n, k) exactly, and 0 for k outside [0, n], from its prime factorisation.
+
+    Each prime p <= n divides binomial(n, k) to the power sum over i >= 1 of
+    floor(n/p^i) - floor(k/p^i) - floor((n-k)/p^i) (Legendre's formula; see
+    Goetgheluck, Amer. Math. Monthly 94, 1987).  The prime powers, each at
+    most n, are multiplied pairwise in a balanced product tree, so the big
+    multiplications have factors of similar size.  The primes come from
+    sieve_primes(n), and n = |P(s, r)| < s, so they take less memory than
+    the tables build_family charged for P(s, r).
+    """
+    if not 0 <= k <= n:
+        return 0
+    factors = []
+    for p in sieve_primes(max(n, 2)).primes.tolist():
+        e, q = 0, p
+        while q <= n:
+            e += n // q - k // q - (n - k) // q
+            q *= p
+        if e:
+            factors.append(p**e)
+    while len(factors) > 1:
+        odd = factors[-1:] if len(factors) % 2 else []
+        factors = list(map(operator.mul, factors[::2], factors[1::2])) + odd
+    return factors[0] if factors else 1
 
 
 def verify_certificate(

@@ -11,6 +11,7 @@ no traceback is printed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -50,6 +51,7 @@ EXIT_MISMATCH = 3
 EXIT_PIPE = 141  # what a shell reports for a writer that SIGPIPE ends
 
 CONSTRUCT_ALL_CAP = 20  # 2^pi members; refuse beyond this many set bits
+NC_LIST_BATCH = 4096  # members nc list formats per write
 Z_VALUE_BYTES = 40  # a z of a range: its list slot and its int
 MAX_NOTATION_DIGITS = 4001  # up to 10^4000, so every value prints: str() stops at 4 300 digits
 
@@ -172,12 +174,17 @@ def _cmd_nc_count(args) -> int:
 
 
 def _cmd_nc_list(args) -> int:
+    """One member a line, or _emit's JSON list, written NC_LIST_BATCH members at a time.
+
+    Only one batch of strings exists at once, beside the list that list_nc charged.
+    """
     x = parse_natural(args.limit)
     members = list_nc(x, memory_budget=args.limit_memory)
-    if args.format == "json":
-        _emit(members)
-    else:
-        sys.stdout.write("\n".join(str(m) for m in members) + "\n")
+    head, sep, tail = ("[", ",", "]\n") if args.format == "json" else ("", "\n", "\n")
+    sys.stdout.write(head)
+    for lo in range(0, len(members), NC_LIST_BATCH):
+        sys.stdout.write((sep if lo else "") + sep.join(map(str, members[lo : lo + NC_LIST_BATCH])))
+    sys.stdout.write(tail)
     return EXIT_OK
 
 
@@ -427,6 +434,13 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    """The console script: run() on sys.argv, with the import-time objects out of the collector's way.
+
+    gc.freeze moves every object alive now (numpy's and this package's, from
+    import) to a generation no collection walks, so neither the command's own
+    collections nor the one at interpreter shutdown traverse them.
+    """
+    gc.freeze()
     sys.exit(run(sys.argv[1:]))
 
 

@@ -16,6 +16,7 @@ prime.
 from __future__ import annotations
 
 import decimal
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -71,6 +72,7 @@ def build_base(s: int, r: int, primes: PrimeTable) -> ConstructionBase:
     return ConstructionBase(s=s, r=r, exponents=tuple(exponents), value=value, log_value=log_value)
 
 
+@functools.lru_cache(maxsize=1)
 def build_family(
     s: int,
     r: int,
@@ -81,6 +83,12 @@ def build_family(
 
     The tables come first, so a ceiling or budget refusal (ResourceError,
     naming s) precedes build_base's check of 2 <= r <= s (DomainError).
+
+    The last result is memoised, keyed by the arguments as spelled: callers
+    in this package pass memory_budget by keyword, so a certificate round
+    trip builds its family once.  The memo keeps one D and one member tuple
+    alive (both immutable) and none of the tables; a refusal raises and is
+    not kept, so a repeated call is refused again.
     """
     check_ceiling("s", s)
     tables = build_tables(max(s, 2), memory_budget=memory_budget)

@@ -5,8 +5,8 @@ Run it by name; the ``bench_`` prefix keeps it out of the default test run:
     PYTHONPATH=src python -m pytest tests/bench_startup.py -s
 
 Each round starts one child and waits for it: ``python -c "import nc_forge.cli"``,
-or the body of the ``nc-forge`` console script with ``--help``, as the
-benchmark's ``cli`` workload starts every command.  pytest-benchmark times the
+or the body of the ``nc-forge`` console script with ``--help`` or ``nc check 7``,
+as the benchmark's ``cli`` workload starts every command.  pytest-benchmark times the
 wall clock; the child's CPU (user + system, from RUSAGE_CHILDREN) goes in
 ``extra_info`` and is printed, since a helper thread that spins while the
 main thread loads shows in the CPU and not in the wall time.
@@ -27,6 +27,7 @@ CLI_ENTRY = "import sys\nfrom nc_forge.cli import main\nsys.exit(main())"  # the
 CHILDREN = {
     "import": ["-c", "import nc_forge.cli"],
     "help": ["-c", CLI_ENTRY, "--help"],
+    "nc_check": ["-c", CLI_ENTRY, "nc", "check", "7"],
 }
 
 

@@ -8,14 +8,17 @@ Each round parses a threshold e^k with a k no earlier round used, as a fresh
 process sees it, and certifies the t1 schedule at u = 0.5 below it, as the
 benchmark's ``certify`` workload does near e^28000 and at e^100000.  The
 exact floor(e^k) (``Threshold.value``) is timed at the same two k, on a fresh
-threshold per round so that no round reads a cached value.
+threshold per round so that no round reads a cached value.  The count
+binomial(pi, A) is timed alone at the e^100000 certificate's (21 400, 7 428)
+and at (500 000, 58 000), against CPython's math.comb.
 """
 
 import itertools
+import math
 
 import pytest
 
-from nc_forge.certify import Schedule, certify_lower_bound, parse_threshold
+from nc_forge.certify import Schedule, binomial, certify_lower_bound, parse_threshold
 
 ROUNDS = 10
 
@@ -38,3 +41,10 @@ def test_exact_value(benchmark, k):
     )
     t = parse_threshold(f"e^{k}")
     assert t.lo <= value <= t.hi
+
+
+@pytest.mark.parametrize("n, k", [(21_400, 7_428), (500_000, 58_000)])
+@pytest.mark.parametrize("method", [binomial, math.comb], ids=["factorised", "math.comb"])
+def test_binomial(benchmark, method, n, k):
+    value = benchmark.pedantic(method, args=(n, k), rounds=ROUNDS)
+    assert value > 0 and value.bit_length() > n // 4

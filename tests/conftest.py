@@ -1,5 +1,6 @@
 import pytest
 
+from nc_forge import construction
 from nc_forge.sieve import build_tables
 
 
@@ -17,3 +18,18 @@ def tables_1e6():
 @pytest.fixture(scope="session")
 def tables_1e7():
     return build_tables(10**7)
+
+
+@pytest.fixture
+def family_builds(monkeypatch):
+    """The limits build_family builds tables to, one a build, from an empty memo."""
+    calls = []
+    real = construction.build_tables
+
+    def counted(limit, memory_budget=None):
+        calls.append(limit)
+        return real(limit, memory_budget=memory_budget)
+
+    monkeypatch.setattr(construction, "build_tables", counted)
+    construction.build_family.cache_clear()
+    return calls

@@ -16,6 +16,7 @@ from nc_forge.certify import (
     ENUMERATION_CAP,
     LowerBoundCertificate,
     Schedule,
+    binomial,
     certify_lower_bound,
     enumerate_certificate,
     parse_threshold,
@@ -33,15 +34,21 @@ GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def test_binomial_examples():
-    assert math.comb(4, 2) == 6
-    assert math.comb(17, 11) == 12376 == pascal_binomial(17, 11)
-    assert math.comb(5, 9) == 0
+    assert binomial(17, 11) == 12376 == pascal_binomial(17, 11)
+    assert binomial(5, 9) == binomial(5, -1) == 0
+    # (21 400, 7 428) is the count at e^100000 (t1, u = 0.5); the others are the edges.
+    for n, k in [(21_400, 7_428), (100_000, 20_000), (0, 0), (1, 0), (1, 1), (5_000, 0), (5_000, 5_000)]:
+        assert binomial(n, k) == math.comb(n, k), (n, k)
 
 
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(min_value=0, max_value=40), k=st.integers(min_value=0, max_value=50))
-def test_binomial_matches_pascal(n, k):
-    assert math.comb(n, k) == pascal_binomial(n, k)
+@given(st.integers(0, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(-1, n + 1))))
+@example((0, -1))
+@example((0, 1))
+@example((300, 150))
+def test_binomial_matches_pascal(nk):
+    n, k = nk
+    assert binomial(n, k) == pascal_binomial(n, k)
 
 
 def test_threshold_decimal_and_int():
@@ -506,6 +513,17 @@ def test_certified_counts_stay_below_the_exact_count(x):
     assert 0 < max(counts) <= exact
     if x == 10**9:
         assert certify_lower_bound(Schedule.manual(x, 5, 30)).count == 56 <= exact == 192_826
+
+
+def test_a_round_trip_builds_its_family_once(family_builds):
+    cert = certify_lower_bound(Schedule.manual("10^30", 10, 100))
+    data = json.loads(json.dumps(cert.to_dict()))
+    assert verify_certificate(data) == (True, [])
+    assert enumerate_certificate(data).ok
+    assert family_builds == [100]
+    certify_lower_bound(Schedule.manual("10^30", 11, 100))  # another (s, r) builds again
+    certify_lower_bound(Schedule.manual("10^30", 11, 100), memory_budget=10**7)  # and another budget
+    assert family_builds == [100, 100, 100]
 
 
 def test_enumeration_of_zero_certificate_is_trivially_ok():

@@ -1,5 +1,6 @@
 import contextlib
 import decimal
+import hashlib
 import io
 import json
 import math
@@ -14,13 +15,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nc_forge import cli
+from nc_forge import cli, novak
 from nc_forge.certify import CERT_FIELDS, Schedule, certify_lower_bound
 from nc_forge.cli import (
     EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_RESOURCE, parse_natural, run,
 )
 from nc_forge.construction import build_base
 from nc_forge.errors import DomainError, ResourceError
+from nc_forge.novak import list_nc
 from nc_forge.sieve import sieve_primes
 
 from oracles import family_products, shifted_smooth_primes
@@ -318,6 +320,41 @@ def test_nc_list_is_charged_before_its_members_are_built(capsys):
     assert "member list" in err
     # nc count holds no list, so the same budget counts to 10^9.
     assert invoke(capsys, "nc", "count", "--limit", "10^9", "--limit-memory", "10^6") == (EXIT_OK, "192826\n", "")
+
+
+class _DigestWriter(io.TextIOBase):
+    """A stdout that keeps only a digest of what is written, so tracemalloc sees no growing buffer."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_nc_list_output_is_streamed_within_its_charge(monkeypatch, fmt):
+    # 54 382 members: their strings and one joined string outgrew the list's charge by about 3 MB.
+    x = 10**8
+    members = list_nc(x)
+    text = json.dumps(members, separators=(",", ":")) if fmt == "json" else "\n".join(map(str, members))
+    charge = sum(novak._charge("list_nc", x).values()) + novak.MEMBER_BYTES * len(members)
+    batch = cli.NC_LIST_BATCH * 128  # a list slot, a str and its text twice (the joined batch, its bytes)
+    sink = _DigestWriter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = run(["nc", "list", "--limit", str(x), "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert sink.digest.hexdigest() == hashlib.sha256((text + "\n").encode()).hexdigest()
+    assert peak <= charge + batch
 
 
 def test_smooth_psi_budget_bounds_its_prime_list(capsys):

@@ -203,6 +203,28 @@ def test_build_family_matches_its_parts(tables_small):
         build_family(10**8, 5, memory_budget=1000)
 
 
+def test_build_family_keeps_one_family(family_builds):
+    first = build_family(100, 10, memory_budget=10**7)
+    assert build_family(100, 10, memory_budget=10**7) is first and family_builds == [100]
+    build_family(100, 11, memory_budget=10**7)  # another r
+    build_family(101, 11, memory_budget=10**7)  # another s
+    build_family(101, 11, memory_budget=10**8)  # another budget
+    assert family_builds == [100, 100, 101, 101]
+    assert build_family(100, 10, memory_budget=10**7) == first  # evicted: one entry only
+    assert len(family_builds) == 5 and build_family.cache_info().currsize == 1
+
+
+def test_a_refused_family_is_refused_again(family_builds):
+    kept = build_family(100, 10, memory_budget=None)
+    for _ in range(2):
+        with pytest.raises(ResourceError, match="budget"):
+            build_family(10**8, 5, memory_budget=1000)
+        with pytest.raises(DomainError, match="need 2 <= r <= s"):
+            build_family(4, 5, memory_budget=None)
+    assert family_builds == [100, 10**8, 4, 10**8, 4]  # each refusal ran again; none was kept
+    assert build_family(100, 10, memory_budget=None) is kept and len(family_builds) == 5
+
+
 def test_member_json_roundtrip(tables_small):
     base = build_base(10, 3, tables_small.primes)
     pset = shifted_smooth_set(10, 3, tables_small.primes, tables_small.factors)
