@@ -42,6 +42,7 @@ from .smoothness import (
     psi_count,
     rows_to_csv,
     rows_to_json,
+    shift_charge,
 )
 
 EXIT_OK = 0
@@ -204,7 +205,7 @@ def _cmd_smooth_pi(args) -> int:
     x, y = parse_natural(args.x), parse_natural(args.y)
     check_ceiling("x", x)
     check_shift_domain("pi_smooth_count", x, y)  # before the tables are built
-    tables = build_tables(x, memory_budget=args.limit_memory)
+    tables = build_tables(x, memory_budget=args.limit_memory, beside=shift_charge())
     c = pi_smooth_count(x, y, tables.primes, tables.factors)
     if args.format == "json":
         _emit({"x": x, "y": y, "pi_smooth": c})
@@ -226,7 +227,9 @@ def _cmd_conjecture(args) -> int:
     zs = _parse_z_values(args.z, args.limit_memory)
     rule = parse_y_rule(args.y_rule)
     zs = check_z_values("conjecture_table", zs, rule)  # before the tables are built
-    tables = build_tables(zs[-1], memory_budget=args.limit_memory)
+    top = zs[-1]  # y_for is monotone in z, so the last row's psi_count builds the most
+    beside = {"z list": Z_VALUE_BYTES * len(zs), **shift_charge(), **psi_charge(top, rule.y_for(top))}
+    tables = build_tables(top, memory_budget=args.limit_memory, beside=beside)
     rows = conjecture_table(zs, rule, tables)
     if args.format == "json":
         _emit(rows_to_json(rows))
@@ -345,9 +348,9 @@ def build_parser() -> _Parser:
     common.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
     common.add_argument(
         "--limit-memory", type=parse_natural, default=None, metavar="BYTES",
-        help="byte budget for the factor table and prime array a command builds, "
-        "for smooth psi's prime list and pi table, conjecture's z range "
-        "and nc count's and nc list's counters and list (default 2 GiB)",
+        help="byte budget for what a command builds: the factor table and prime array "
+        "with the Pi working room, smooth psi's prime list and pi table, conjecture's z list "
+        "beside both, and nc count's and nc list's counters and list (default 2 GiB)",
     )
 
     # --help stops before the pipe note: perfbench/golden.json records its text byte for byte

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, show_int
-from .smoothness import ShiftedSmoothSet, shifted_smooth_set
+from .smoothness import ShiftedSmoothSet, shift_charge, shifted_smooth_set
 from .sieve import PrimeTable, build_tables, check_ceiling
 
 
@@ -83,6 +83,7 @@ def build_family(
 
     The tables come first, so a ceiling or budget refusal (ResourceError,
     naming s) precedes build_base's check of 2 <= r <= s (DomainError).
+    The budget covers the tables and the working room of P(s, r)'s route.
 
     The last result is memoised, keyed by the arguments as spelled: callers
     in this package pass memory_budget by keyword, so a certificate round
@@ -91,7 +92,7 @@ def build_family(
     not kept, so a repeated call is refused again.
     """
     check_ceiling("s", s)
-    tables = build_tables(max(s, 2), memory_budget=memory_budget)
+    tables = build_tables(max(s, 2), memory_budget=memory_budget, beside=shift_charge())
     base = build_base(s, r, tables.primes)
     return base, shifted_smooth_set(s, r, tables.primes, tables.factors)
 

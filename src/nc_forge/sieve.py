@@ -13,7 +13,9 @@ pair costs one sieve.
 
 A factor table holds, for each odd n <= limit, the smallest prime factor of
 n when n is composite and 0 when n is a prime or 1: 2 bytes an odd n below
-2^32, 4 bytes from there to 2^40.
+2^32, 4 bytes from there to 2^40.  A prime array switches at the same
+limit: uint32 below 2^32, int64 from there.  Readers take its primes out by
+.tolist(), int() or astype, or compare them with keys of its own dtype.
 """
 
 from __future__ import annotations
@@ -78,17 +80,26 @@ def _check_limit(limit: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PrimeTable:
-    """All primes up to ``limit`` in increasing order, with count lookups."""
+    """All primes up to ``limit`` in increasing order, with count lookups.
+
+    primes is uint32 for limits below 2^32 and int64 from there (_prime_dtype).
+    """
 
     limit: int
     primes: np.ndarray
     count: int
 
     def pi(self, x: int) -> int:
-        """Number of primes <= x.  Requires x <= limit."""
+        """Number of primes <= x.  Requires x <= limit.
+
+        The key takes the array's dtype: a Python int would cast every prime
+        to int64 first.
+        """
         if x > self.limit:
             raise DomainError(f"pi({x}) not covered by a table with limit {self.limit}")
-        return int(np.searchsorted(self.primes, x, side="right"))
+        if x < 2:
+            return 0
+        return int(np.searchsorted(self.primes, self.primes.dtype.type(x), side="right"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,21 +153,27 @@ def _base_primes(limit: int) -> list[int]:
     return _sieve(root)[1:].tolist() if root >= 3 else []
 
 
+def _prime_dtype(limit: int) -> type:
+    return np.uint32 if limit < 2**32 else np.int64  # the factor table widens at the same limit
+
+
 def _write_primes(limit: int, blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
-    """The primes up to limit >= 2 as int64, from (lo, flags) blocks covering its odd slots in order.
+    """The primes up to limit >= 2, as _prime_dtype(limit), from (lo, flags) blocks covering its odd slots in order.
 
     flags[k] is true when n = 2(lo + k) + 1 is a prime or 1.  They are read
     SIEVE_PIECE slots at a time into an array of prime_count_bound(limit)
     entries, trimmed in place at the end; slot 0 (n = 1) gives its place to 2.
+    Each piece's int64 indices become its primes in place and are then
+    copied into the output, which casts them.
     """
-    primes = np.empty(prime_count_bound(limit), dtype=np.int64)
+    primes = np.empty(prime_count_bound(limit), dtype=_prime_dtype(limit))
     i = 0
     for lo, flags in blocks:
         for start in range(0, len(flags), SIEVE_PIECE):
             found = np.flatnonzero(flags[start : start + SIEVE_PIECE])
-            out = primes[i : i + len(found)]
-            np.multiply(found, 2, out=out)
-            out += 2 * (lo + start) + 1
+            found *= 2
+            found += 2 * (lo + start) + 1
+            primes[i : i + len(found)] = found
             i += len(found)
     primes.resize(i, refcheck=False)
     primes[0] = 2
@@ -164,7 +181,7 @@ def _write_primes(limit: int, blocks: Iterator[tuple[int, np.ndarray]]) -> np.nd
 
 
 def _sieve(limit: int) -> np.ndarray:
-    """The primes up to limit >= 2 as int64, SIEVE_BLOCK odd-number slots at a time.
+    """The primes up to limit >= 2 (uint32 below 2^32), SIEVE_BLOCK odd-number slots at a time.
 
     One bool buffer is cleared, struck and inverted per block and handed to
     _write_primes.  Beside the primes, a call holds the buffer, the base
@@ -202,6 +219,10 @@ def _factor_table_bytes(limit: int) -> int:
     return (limit + 1) // 2 * np.dtype(_factor_table_dtype(limit)).itemsize  # n = 1, 3, 5, ...
 
 
+def _prime_array_bytes(limit: int) -> int:
+    return prime_count_bound(limit) * np.dtype(_prime_dtype(limit)).itemsize
+
+
 def _strike_factor_table(limit: int) -> np.ndarray:
     """The spf_odd array of a FactorTable: zeros, with each odd composite's spf struck in.
 
@@ -218,26 +239,30 @@ def _strike_factor_table(limit: int) -> np.ndarray:
 def table_charge(limit: int) -> dict[str, int]:
     """The bytes build_tables(limit) holds, as {name: bytes} for check_budget.
 
-    They are the factor table, the int64 prime array sized by
-    prime_count_bound, and the read piece: two pieces' bool flags, and their
-    int64 indices at one prime in two odd slots or fewer, since a piece's
-    arrays are freed only once the next piece's exist.
+    They are the factor table, the prime array sized by prime_count_bound
+    (4 bytes a prime below 2^32, 8 from there), and the read piece: two
+    pieces' bool flags, and their int64 indices at one prime in two odd
+    slots or fewer, since a piece's arrays are freed only once the next
+    piece's exist.
     """
     return {
         "factor table": _factor_table_bytes(limit),
-        "prime array": 8 * prime_count_bound(limit),
+        "prime array": _prime_array_bytes(limit),
         "read piece": 10 * SIEVE_PIECE,
     }
 
 
-def build_tables(limit: int, *, memory_budget: int | None = None) -> Tables:
+def build_tables(
+    limit: int, *, memory_budget: int | None = None, beside: dict[str, int] | None = None
+) -> Tables:
     """A matched PrimeTable/FactorTable pair from one strike pass.
 
     The prime list is read off the factor table's zeros by _write_primes, one
     SIEVE_PIECE slice of spf_odd == 0 at a time.  The budget covers
-    table_charge(limit) and is checked before the strike pass runs.
+    table_charge(limit) and beside, what the caller will hold with the
+    tables as {name: bytes}, in one check before the strike pass runs.
     """
-    check_budget(table_charge(limit), memory_budget)
+    check_budget({**table_charge(limit), **(beside or {})}, memory_budget)
     spf_odd = _strike_factor_table(limit)
     pieces = range(0, len(spf_odd), SIEVE_PIECE)
     primes = _write_primes(limit, ((lo, spf_odd[lo : lo + SIEVE_PIECE] == 0) for lo in pieces))
@@ -270,7 +295,7 @@ def prime_powers(n: int, table: FactorTable | None = None) -> Iterator[tuple[int
     if table is None:
         if m >= 9:
             primes = sieve_primes(math.isqrt(m)).primes
-            for p in primes[m % primes == 0].tolist():
+            for p in primes[np.int64(m) % primes == 0].tolist():  # m may not fit the primes' uint32
                 e = 0
                 while m % p == 0:
                     m //= p

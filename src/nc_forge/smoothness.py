@@ -193,7 +193,10 @@ def count_smooth(x: int, primes: Sequence[int], y: int) -> int:
 
 
 PI_ENTRY_BYTES = 12  # a pi-table entry: its int64 and at most half as much in temporaries
-PRIME_LIST_BYTES = 48  # a prime psi_count lists: its sieve entry, a list slot and its int
+# A prime psi_count lists: its 4-byte sieve entry, a list slot and its int.  tracemalloc
+# reads 39.7 bytes a prime at 10^6 and 10^7; pymalloc puts each 28-byte int in a
+# 32-byte block, so the process holds about 44, and 48 keeps a margin over that.
+PRIME_LIST_BYTES = 48
 
 
 def pi_table_bytes(x: int, y: int) -> int:
@@ -232,6 +235,11 @@ def psi_count(x: int, y: int, table: FactorTable | None = None) -> int:
     if y < 2:
         return 1
     return count_smooth(x, sieve_primes(y).primes.tolist(), y)
+
+
+def shift_charge() -> dict[str, int]:
+    """What either Pi route holds beside the tables, as check_budget's {name: bytes}."""
+    return {"shift working room": SHIFT_WORKING_BYTES}
 
 
 Masks = Iterator[tuple[np.ndarray, np.ndarray]]  # (candidates, mask); the marked ones are members

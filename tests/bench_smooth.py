@@ -6,8 +6,10 @@ Run it by name; the ``bench_`` prefix keeps it out of the default test run:
     PYTHONPATH=src python -m pytest tests/bench_smooth.py
 
 z = 10^7 with the two y of the benchmark's ``smooth`` workload: the hild
-y = round(e^sqrt(log z)) = 55 and y = isqrt(z) = 3162.  sieve_primes(10^7)
-and build_tables(10^7) are timed on their own, fresh each round; the Pi calls
+y = round(e^sqrt(log z)) = 55 and y = isqrt(z) = 3162.  sieve_primes(10^7),
+sieve_primes(10^8) and build_tables(10^7) are timed on their own, fresh each
+round, and each one's tracemalloc peak, from one more call outside the timed
+rounds, is printed (run with -s) and kept in extra_info; the Pi calls
 read one pair built outside the timed calls.  Pi is timed at y = 55, which
 enumerates its 24 055 odd smooth cofactors, at y = 3162, which walks every
 prime, and at y = 200, a walk just past the choice (which enumerates up to
@@ -21,6 +23,7 @@ workload's cold rho, past the cutoff, where none is.
 """
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -39,14 +42,28 @@ def tables():
     return build_tables(Z)
 
 
-def test_sieve_primes(benchmark):
-    primes = benchmark.pedantic(sieve_primes, args=(Z,), rounds=20)
-    assert primes.count == 664_579
+def _record_peak(benchmark, name, fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["tracemalloc_peak_bytes"] = peak
+    print(f"\n{name}: tracemalloc peak {peak / 1e6:.2f} MB")
+
+
+@pytest.mark.parametrize("limit, count", [(Z, 664_579), (10**8, 5_761_455)], ids=["1e7", "1e8"])
+def test_sieve_primes(benchmark, limit, count):
+    primes = benchmark.pedantic(sieve_primes, args=(limit,), rounds=20)
+    assert primes.count == count
+    _record_peak(benchmark, f"sieve_primes({limit})", sieve_primes, limit)
 
 
 def test_build_tables(benchmark):
     tables = benchmark.pedantic(build_tables, args=(Z,), rounds=20)
     assert tables.primes.count == 664_579
+    _record_peak(benchmark, f"build_tables({Z})", build_tables, Z)
 
 
 @pytest.mark.parametrize("y", PI)

@@ -26,9 +26,9 @@ def family_builds(monkeypatch):
     calls = []
     real = construction.build_tables
 
-    def counted(limit, memory_budget=None):
+    def counted(limit, **kwargs):
         calls.append(limit)
-        return real(limit, memory_budget=memory_budget)
+        return real(limit, **kwargs)
 
     monkeypatch.setattr(construction, "build_tables", counted)
     construction.build_family.cache_clear()

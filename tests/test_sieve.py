@@ -119,7 +119,7 @@ def test_factor_table_build_allocates_nothing_beside_the_table():
 
 def test_sieve_primes_allocates_nothing_beside_the_primes():
     """The output is sized once by a bound within 1 % and trimmed in place, so the
-    strike buffer and one piece's indices are all that sit beside it."""
+    strike buffer and one piece's int64 indices are all that sit beside it."""
     tracemalloc.start()
     try:
         primes = sieve_primes(10**7).primes
@@ -127,7 +127,7 @@ def test_sieve_primes_allocates_nothing_beside_the_primes():
     finally:
         tracemalloc.stop()
     assert len(primes) == 664_579
-    assert peak <= 1.1 * primes.nbytes
+    assert peak <= 1.01 * primes.nbytes + sieve.SIEVE_BLOCK + 8 * sieve.SIEVE_PIECE
 
 
 def test_prime_list_budget_covers_the_measured_peak():
@@ -155,8 +155,9 @@ def test_build_tables_peak_is_within_what_the_budget_charged():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    charged = tables.factors.spf_odd.nbytes + 8 * prime_count_bound(10**7) + 10 * sieve.SIEVE_PIECE
-    assert tables.primes.primes.nbytes <= 8 * prime_count_bound(10**7)
+    prime_array = tables.primes.primes.itemsize * prime_count_bound(10**7)
+    charged = tables.factors.spf_odd.nbytes + prime_array + 10 * sieve.SIEVE_PIECE
+    assert tables.primes.primes.nbytes <= prime_array
     assert peak <= charged
     with pytest.raises(ResourceError):
         build_tables(10**7, memory_budget=charged - 1)
@@ -198,6 +199,36 @@ def test_wider_tables_read_like_uint16(tables_small):
 def test_table_dtype_switches_at_2_to_32():
     assert sieve._factor_table_bytes(2**32 - 1) == 2**31 * 2
     assert sieve._factor_table_bytes(2**32) == 2**31 * 4
+
+
+def test_prime_array_dtype_switches_at_2_to_32():
+    assert sieve._prime_array_bytes(2**32 - 1) == 4 * prime_count_bound(2**32 - 1)
+    assert sieve._prime_array_bytes(2**32) == 8 * prime_count_bound(2**32)
+    assert sieve.table_charge(2**32 - 1)["prime array"] == sieve._prime_array_bytes(2**32 - 1)
+
+
+def test_prime_table_pi_casts_no_array(tables_1e7):
+    """A Python-int key would cast the 10^7 table's 2.7 MB of uint32 primes to int64 on every call."""
+    primes = tables_1e7.primes
+    tracemalloc.start()
+    try:
+        counts = [primes.pi(x) for x in (10**7, 3162, 2, 1, 0, -1)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == [664_579, 446, 1, 0, 0, 0]
+    assert peak < 1024
+
+
+@pytest.mark.parametrize("n", [2**40 - 1, 2**40 - 87, 2 * (2**39 - 111)], ids=["2^40-1", "prime", "even"])
+def test_factoring_without_a_table_near_2_to_40(n):
+    """The odd part lies above 2^32, past the uint32 primes it is reduced by, so the reduction is in int64."""
+    want = trial_factorize(n)
+    assert list(prime_powers(n)) == want
+    verdict = is_nc_criterion(n)
+    failing = [p for p, _ in want if p > 2 and n % (p - 1)]
+    assert verdict.is_nc == (not failing)
+    assert verdict.witness == (failing[0] if failing else None)
 
 
 def test_factor_table_rejects_bad_limits():
@@ -243,7 +274,7 @@ def test_sieve_primes_matches_flag_sieve(monkeypatch, limits, block):
         monkeypatch.setattr(sieve, "SIEVE_BLOCK", block)
     for limit in limits:
         got = sieve_primes(limit).primes
-        assert got.dtype == np.int64
+        assert got.dtype == np.uint32
         assert np.array_equal(got, flag_sieve(limit)), limit
 
 
