@@ -24,13 +24,18 @@ Every member of P(s, r) is at most s, so the recorded bound holds by this
 choice.  Degenerate schedules (r < 2, r > s, or D > x) produce an
 explanatory zero-certificate rather than an error.
 
-Every comparison with x goes through Threshold.covers.  For x = e^k the
-threshold holds integers lo <= floor(e^k) <= hi from one 128-bit interval
-exp in integer arithmetic (_exp_bracket: binary-splitting Taylor series and
-repeated squaring), which settles a comparison unless the compared integer
-falls inside [lo, hi]; only then, or when .value is read, is floor(e^k)
-computed to all of its digits, by the same interval exp at a precision that
-makes lo = hi.
+For x = e^k the threshold holds integers lo <= floor(e^k) <= hi from one
+BRACKET_BITS-bit interval exp in integer arithmetic (_exp_bracket:
+binary-splitting Taylor series and repeated squaring).  Threshold.covers
+settles n <= x from lo and hi unless n falls inside [lo, hi]; only then, or
+when .value is read, is floor(e^k) computed to all of its digits, by the
+same interval exp at a precision that makes lo = hi.  The comparisons
+D * b^a <= x that settle A and max_member_check go through _fits, which
+brackets b^a by truncated binary powering (_power_bracket, after Brent and
+Zimmermann, Modern Computer Arithmetic, 2010, section 3.3) and compares the
+bracket's ends with x's; only a power whose bracket meets x's is built in
+full and handed to Threshold.covers.  Every decision is an exact integer
+comparison either way.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .errors import DomainError, ResourceError
 from .sieve import sieve_primes
 
 MAX_NOTATION_EXPONENT = 10**6
+BRACKET_BITS = 128  # precision of e^k's bracket; _power_bracket keeps 32 bits more
 ENUMERATION_CAP = 100_000  # members enumerate_certificate walks at most
 
 _FIELD_PARSERS = {  # each certificate field and how from_dict reads it
@@ -109,7 +115,7 @@ class Threshold:
 def parse_threshold(notation: str | int) -> Threshold:
     """Parse x given as a decimal string, an int, 10^k, or e^k.
 
-    e^k is bracketed by one 128-bit interval exp (_exp_bracket); the
+    e^k is bracketed by one BRACKET_BITS-bit interval exp (_exp_bracket); the
     threshold compares exactly either way, and computes floor(e^k) only
     when a comparison falls inside the bracket.
     """
@@ -138,7 +144,7 @@ def parse_threshold(notation: str | int) -> Threshold:
     raise DomainError(f"cannot parse threshold {notation!r}; use digits, 10^k, or e^k")
 
 
-def _exp_bracket(k_text: str, bits: int = 128) -> tuple[int, int]:
+def _exp_bracket(k_text: str, bits: int = BRACKET_BITS) -> tuple[int, int]:
     """(lo, hi) with lo <= floor(e^k) <= hi, from an integer interval exp at the given bits.
 
     k = num/den is read exactly from its decimal text and reduced to
@@ -190,6 +196,46 @@ def _split(p: int, q: int, a: int, b: int) -> tuple[int, int, int]:
     q1, t1, p1 = _split(p, q, a, m)
     q2, t2, p2 = _split(p, q, m, b)
     return q1 * q2, t1 * q2 + p1 * t2, p1 * p2
+
+
+def _power_bracket(b: int, a: int) -> tuple[int, int, int]:
+    """(lo, hi, sh) with lo * 2^sh <= b^a <= hi * 2^sh, for b >= 1 and a >= 0.
+
+    Left-to-right binary powering on both ends at once: after each square
+    or multiply, lo is truncated down and hi rounded up to BRACKET_BITS + 32
+    bits.  Each rounding widens the bracket by a relative 2^-(BRACKET_BITS + 30)
+    at most, and a squaring doubles what came before, so hi / lo - 1 stays
+    below 8a / 2^(BRACKET_BITS + 32) (about a / 2^(BRACKET_BITS + 34)
+    measured): far inside e^k's bracket for any A a certificate reaches.
+    """
+    keep = BRACKET_BITS + 32
+    lo = hi = 1
+    sh = 0
+    for bit in bin(a)[2:]:
+        lo, hi, sh = lo * lo, hi * hi, 2 * sh
+        if bit == "1":
+            lo, hi = lo * b, hi * b
+        c = hi.bit_length() - keep
+        if c > 0:
+            lo, hi, sh = lo >> c, -(-hi >> c), sh + c
+    return lo, hi, sh
+
+
+def _fits(x: Threshold, d: int, b: int, a: int) -> bool:
+    """d * b^a <= x, exactly, for d, b >= 1 and a >= 0; builds b^a only when its bracket meets x's.
+
+    With b^a in [lo, hi] * 2^sh, d * hi * 2^sh <= x.lo proves the bound and
+    d * lo * 2^sh > x.hi refutes it.  Since d * hi and d * lo are integers,
+    these read d * hi <= x.lo >> sh and d * lo > x.hi >> sh, which shift x
+    down instead of the power up.  Otherwise Threshold.covers decides the
+    power built in full.
+    """
+    lo, hi, sh = _power_bracket(b, a)
+    if d * hi <= x.lo >> sh:
+        return True
+    if d * lo > x.hi >> sh:
+        return False
+    return x.covers(d * b**a)
 
 
 @dataclass(frozen=True)
@@ -251,8 +297,8 @@ def _loglog(x: Threshold) -> float:
 class LowerBoundCertificate:
     """Self-contained record proving count(x) >= binomial(pi, A).
 
-    max_member_check True means D * max(P(s, r))^A <= x by exact big-integer
-    comparison; D times any A members of P(s, r) is at most that, so all
+    max_member_check True means D * max(P(s, r))^A <= x, settled exactly by
+    _fits; D times any A members of P(s, r) is at most that, so all
     binomial(pi, A) size-A members fit under x.  lemma2_applicable records
     whether A <= pi/2 + 1, in which case count >= (pi/A)^A as well.  The
     defaults are those of a zero-certificate, which names its
@@ -310,34 +356,32 @@ def certify_lower_bound(
         reason = f"infeasible schedule: need 2 <= r <= s, got r={r}, s={s}"
         return LowerBoundCertificate(x.text, r, s, infeasible_reason=reason)
     base, pset = build_family(s, r, memory_budget=memory_budget)
-    if not x.covers(base.value):
+    d, pi = base.value, pset.count
+    if not _fits(x, d, s, 0):
         reason = "base value exceeds x; no member fits"
-        return LowerBoundCertificate(x.text, r, s, pset.count, base.exponents, infeasible_reason=reason)
+        return LowerBoundCertificate(x.text, r, s, pi, base.exponents, infeasible_reason=reason)
 
-    # Propose A by floats, then settle max{a : D * s^a <= x} exactly.
-    a = max(0, math.floor((x.log - base.log_value) / math.log(s)))
-    cur = base.value * s**a
-    while a > 0 and not x.covers(cur):
+    # A = max{a <= pi : D * s^a <= x}.  Floats propose a, capped at pi first so
+    # that no step passes pi; _fits settles each step from power brackets.
+    a = min(pi, max(0, math.floor((x.log - base.log_value) / math.log(s))))
+    while a > 0 and not _fits(x, d, s, a):
         a -= 1
-        cur //= s
-    while x.covers(cur * s):
+    while a < pi and _fits(x, d, s, a + 1):
         a += 1
-        cur *= s
-    a = min(a, pset.count)
 
-    count = binomial(pset.count, a)
+    count = binomial(pi, a)
     return LowerBoundCertificate(
         x=x.text,
         r=r,
         s=s,
-        pi=pset.count,
+        pi=pi,
         exponents=base.exponents,
         A=a,
         count=count,
         log10_count=math.log10(count) if count else 0.0,
         # Each member is <= s, so this holds by the choice of A; it is recorded, not repaired.
-        max_member_check=x.covers(base.value * max(pset.members) ** a),
-        lemma2_applicable=a >= 1 and 2 * a <= pset.count + 2,
+        max_member_check=_fits(x, d, pset.members[-1], a),  # members increase, so the last is max(P)
+        lemma2_applicable=a >= 1 and 2 * a <= pi + 2,
     )
 
 

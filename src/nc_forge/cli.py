@@ -53,6 +53,7 @@ EXIT_PIPE = 141  # what a shell reports for a writer that SIGPIPE ends
 
 CONSTRUCT_ALL_CAP = 20  # 2^pi members; refuse beyond this many set bits
 NC_LIST_BATCH = 4096  # members nc list formats per write
+NC_LIST_BATCH_BYTES = 128 * NC_LIST_BATCH  # a list slot, a str and its text twice (the joined batch, its bytes)
 Z_VALUE_BYTES = 40  # a z of a range: its list slot and its int
 MAX_NOTATION_DIGITS = 4001  # up to 10^4000, so every value prints: str() stops at 4 300 digits
 
@@ -177,10 +178,10 @@ def _cmd_nc_count(args) -> int:
 def _cmd_nc_list(args) -> int:
     """One member a line, or _emit's JSON list, written NC_LIST_BATCH members at a time.
 
-    Only one batch of strings exists at once, beside the list that list_nc charged.
+    Only one batch of strings exists at once; list_nc charges it beside the list.
     """
     x = parse_natural(args.limit)
-    members = list_nc(x, memory_budget=args.limit_memory)
+    members = list_nc(x, memory_budget=args.limit_memory, beside={"output batch": NC_LIST_BATCH_BYTES})
     head, sep, tail = ("[", ",", "]\n") if args.format == "json" else ("", "\n", "\n")
     sys.stdout.write(head)
     for lo in range(0, len(members), NC_LIST_BATCH):
@@ -350,7 +351,7 @@ def build_parser() -> _Parser:
         "--limit-memory", type=parse_natural, default=None, metavar="BYTES",
         help="byte budget for what a command builds: the factor table and prime array "
         "with the Pi working room, smooth psi's prime list and pi table, conjecture's z list "
-        "beside both, and nc count's and nc list's counters and list (default 2 GiB)",
+        "beside both, nc count's counters, and nc list's counters, list and output batch (default 2 GiB)",
     )
 
     # --help stops before the pipe note: perfbench/golden.json records its text byte for byte

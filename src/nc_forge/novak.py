@@ -203,14 +203,17 @@ def count_nc(x: int, *, memory_budget: int | None = None) -> int:
     return 1 + sum(len(ks) for _, ks in _cofactors(x))
 
 
-def list_nc(x: int, *, memory_budget: int | None = None) -> list[int]:
+def list_nc(
+    x: int, *, memory_budget: int | None = None, beside: dict[str, int] | None = None
+) -> list[int]:
     """Ordered members <= x; length equals count_nc(x).
 
     The members are charged at MEMBER_BYTES each as the walk finds them:
     the set that would overfill the budget is refused before its products
-    are built.
+    are built.  beside, what the caller will hold with the list as
+    {name: bytes}, is charged in the same checks.
     """
-    charge = _charge("list_nc", x)
+    charge = {**_charge("list_nc", x), **(beside or {})}
     room = check_budget(charge, memory_budget) // MEMBER_BYTES
     members = [1]
     for m, ks in _cofactors(x):

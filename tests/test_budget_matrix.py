@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from nc_forge import novak
-from nc_forge.cli import EXIT_OK, EXIT_RESOURCE, Z_VALUE_BYTES
+from nc_forge.cli import EXIT_OK, EXIT_RESOURCE, NC_LIST_BATCH_BYTES, Z_VALUE_BYTES
 from nc_forge.sieve import table_charge
 from nc_forge.smoothness import YRule, psi_charge, shift_charge
 
@@ -65,7 +65,10 @@ def _conjecture_charge(rule: YRule) -> dict[str, int]:
 
 
 def _list_charge(x: int) -> dict[str, int]:
-    return {**novak._charge("list_nc", x), "member list": novak.MEMBER_BYTES * novak.count_nc(x)}
+    return {
+        **novak._charge("list_nc", x), "output batch": NC_LIST_BATCH_BYTES,
+        "member list": novak.MEMBER_BYTES * novak.count_nc(x),
+    }
 
 
 ROWS = {

@@ -254,6 +254,84 @@ def test_a_is_the_capped_power_bound_and_the_largest_members_fit(x, r, s):
     assert d * math.prod(pset[len(pset) - cert.A :]) <= x  # D times the A largest members
 
 
+@settings(max_examples=200, deadline=None)
+@given(b=st.integers(1, 10**8), a=st.integers(0, 2_000))
+@example(b=10**8, a=2_000)
+@example(b=2**32 - 1, a=1_999)
+def test_power_bracket_encloses_the_power_narrowly(b, a):
+    lo, hi, sh = certify._power_bracket(b, a)
+    power = b**a
+    assert lo << sh <= power <= hi << sh
+    assert (hi - lo) << certify.BRACKET_BITS <= lo
+
+
+def _counting_covers(monkeypatch) -> list[int]:
+    """Patch Threshold.covers to record each n it is asked about; _fits calls it only to fall back."""
+    calls, covers = [], certify.Threshold.covers
+    monkeypatch.setattr(certify.Threshold, "covers", lambda self, n: calls.append(n) or covers(self, n))
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 10**30),
+    b=st.integers(1, 10**8),
+    a=st.integers(0, 2_000),
+    scale=st.integers(0, 400),  # x = v + offset * 2^-scale * v, so the bracket is tested at every distance
+    offset=st.integers(-(2**8), 2**8),
+    near=st.integers(-1, 1),
+)
+@example(d=1, b=10**8, a=2_000, scale=0, offset=0, near=0)
+@example(d=1, b=10**8, a=2_000, scale=0, offset=0, near=-1)
+@example(d=7, b=3, a=1_000, scale=0, offset=0, near=1)
+@example(d=1, b=3, a=101, scale=0, offset=0, near=0)  # 161 bits: one truncation, so lo = floor(3^101 / 2)
+def test_fits_is_the_exact_power_comparison(d, b, a, scale, offset, near):
+    v = d * b**a
+    x = max(1, v + (offset * v >> scale) + near)
+    assert certify._fits(parse_threshold(x), d, b, a) == (v <= x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=_E_EXPONENTS, d=st.integers(1, 10**12), b=st.integers(2, 10**8), step=st.integers(-1, 1))
+@example(k="28000", d=1, b=2, step=0)
+@example(k="0.001", d=1, b=2, step=0)
+def test_fits_against_e_powers_matches_the_mpmath_floor(k, d, b, step):
+    x = parse_threshold(f"e^{k}")
+    exact = floor_e_power(k)
+    a = max(0, math.floor((float(k) - math.log(d)) / math.log(b)) + step)  # on either side of the edge
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _counting_covers(patch)
+        assert certify._fits(x, d, b, a) == (d * b**a <= exact)
+        assert certify._fits(x, d, b, a + 1) == (d * b ** (a + 1) <= exact)
+    assert calls == []  # e^k is within 2^-128 of no such d * b^a here, so the brackets decide
+
+
+def test_fits_falls_back_when_the_brackets_straddle_x(monkeypatch):
+    power = 3**1_000  # 1 585 bits, so the 160-bit bracket is truncated and cannot decide at x = power
+    lo, hi, sh = certify._power_bracket(3, 1_000)
+    assert lo << sh < power < hi << sh
+    calls = _counting_covers(monkeypatch)
+    assert certify._fits(parse_threshold(5 * power), 5, 3, 1_000)
+    assert not certify._fits(parse_threshold(5 * power - 1), 5, 3, 1_000)
+    assert calls == [5 * power, 5 * power]
+    # One unit of the bracket away, the bracket alone decides.
+    assert certify._fits(parse_threshold(5 * hi << sh), 5, 3, 1_000)
+    assert not certify._fits(parse_threshold((5 * lo << sh) - 1), 5, 3, 1_000)
+    assert len(calls) == 2
+
+
+def test_e_power_round_trip_settles_a_from_brackets(monkeypatch):
+    sched = Schedule.t1("e^100000", 0.5)  # its x >= 16 check is a covers call; make it first
+    calls, fits, powers = _counting_covers(monkeypatch), certify._fits, []
+    monkeypatch.setattr(certify, "_fits", lambda x, d, b, a: powers.append((b, a)) or fits(x, d, b, a))
+    cert = certify_lower_bound(sched)
+    assert (cert.A, cert.max_member_check) == (7428, True)
+    members = build_family(sched.s, sched.r, memory_budget=None)[1].members
+    assert powers[-1] == (max(members), cert.A)  # the member check compares the largest member's power
+    assert verify_certificate(json.loads(json.dumps(cert.to_dict())))[0]
+    assert calls == []  # the base, every step of the A search and the member check: no power built
+
+
 def test_the_largest_members_fit_at_t1_e100000():
     # trial_primes to s = 568 516 takes seconds; sieve_primes is tested against it in test_sieve.
     cert = certify_lower_bound(Schedule.t1("e^100000", 0.5))

@@ -314,11 +314,11 @@ def test_nc_list_is_charged_before_its_members_are_built(capsys):
     assert time.perf_counter() - start < 3
     assert (code, out) == (EXIT_RESOURCE, "")
     assert err.startswith("resource error:") and "closure counters" in err
-    # At 10^9 the counters fit, and the member list outgrows the rest as the walk finds it.
-    code, out, err = invoke(capsys, "nc", "list", "--limit", "10^9", "--limit-memory", "10^6")
+    # At 10^9 the counters and the output batch fit, and the member list outgrows the rest as the walk finds it.
+    code, out, err = invoke(capsys, "nc", "list", "--limit", "10^9", "--limit-memory", "2000000")
     assert (code, out) == (EXIT_RESOURCE, "")
-    assert "member list" in err
-    # nc count holds no list, so the same budget counts to 10^9.
+    assert "member list" in err and "output batch" in err
+    # nc count holds no list, so half that budget counts to 10^9.
     assert invoke(capsys, "nc", "count", "--limit", "10^9", "--limit-memory", "10^6") == (EXIT_OK, "192826\n", "")
 
 
@@ -343,7 +343,7 @@ def test_nc_list_output_is_streamed_within_its_charge(monkeypatch, fmt):
     members = list_nc(x)
     text = json.dumps(members, separators=(",", ":")) if fmt == "json" else "\n".join(map(str, members))
     charge = sum(novak._charge("list_nc", x).values()) + novak.MEMBER_BYTES * len(members)
-    batch = cli.NC_LIST_BATCH * 128  # a list slot, a str and its text twice (the joined batch, its bytes)
+    batch = cli.NC_LIST_BATCH_BYTES
     sink = _DigestWriter()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
