@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, show_int
 from .smoothness import ShiftedSmoothSet, shift_charge, shifted_smooth_set
-from .sieve import PrimeTable, build_tables, check_ceiling
+from .sieve import DEFAULT_MEMORY_BUDGET, PrimeTable, build_tables, check_ceiling
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,6 @@ def build_base(s: int, r: int, primes: PrimeTable) -> ConstructionBase:
     return ConstructionBase(s=s, r=r, exponents=tuple(exponents), value=value, log_value=log_value)
 
 
-@functools.lru_cache(maxsize=1)
 def build_family(
     s: int,
     r: int,
@@ -85,12 +84,17 @@ def build_family(
     naming s) precedes build_base's check of 2 <= r <= s (DomainError).
     The budget covers the tables and the working room of P(s, r)'s route.
 
-    The last result is memoised, keyed by the arguments as spelled: callers
-    in this package pass memory_budget by keyword, so a certificate round
-    trip builds its family once.  The memo keeps one D and one member tuple
-    alive (both immutable) and none of the tables; a refusal raises and is
-    not kept, so a repeated call is refused again.
+    The last result is memoised on (s, r, budget), None standing for the
+    default budget, so a certificate round trip builds its family once
+    however its calls spell the budget.  The memo keeps one D and one member
+    tuple alive (both immutable) and none of the tables; a refusal raises
+    and is not kept, so a repeated call is refused again.
     """
+    return _family(s, r, DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget)
+
+
+@functools.lru_cache(maxsize=1)
+def _family(s: int, r: int, memory_budget: int) -> tuple[ConstructionBase, ShiftedSmoothSet]:
     check_ceiling("s", s)
     tables = build_tables(max(s, 2), memory_budget=memory_budget, beside=shift_charge())
     base = build_base(s, r, tables.primes)

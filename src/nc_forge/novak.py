@@ -79,8 +79,9 @@ def is_nc_criterion(n: int, table: FactorTable | None = None) -> NovakVerdict:
     (n <= table.limit) and by trial division over the primes <= sqrt(n)
     otherwise (n <= 2^40).  Verdict and witness do not depend on the
     factor source: a table is optional and only speeds up many queries
-    below its limit.  On a table the odd spf chain is walked here and left
-    at the first failing p, so most n cost one or two steps.
+    below its limit.  On a table the spf chain of n's odd part is walked
+    here, 3 found by m % 3 as it has no slots, and left at the first
+    failing p, so most n cost one or two steps.
     """
     if n < 1:
         raise DomainError(f"is_nc_criterion needs n >= 1, got {n}")
@@ -90,7 +91,7 @@ def is_nc_criterion(n: int, table: FactorTable | None = None) -> NovakVerdict:
         spf = table.spf_view
         m = n >> ((n & -n).bit_length() - 1)  # the odd part: p = 2 always passes
         while m > 1:  # the chain ascends, so the first failure is the smallest
-            p = spf[m >> 1] or m  # 0 marks a prime
+            p = 3 if m % 3 == 0 else spf[m // 3] or m  # 0 marks a prime
             if n % (p - 1):
                 return _verdict(NovakVerdict, (n, False, "prime", p))
             m //= p  # a repeated p passes again
@@ -129,7 +130,7 @@ def _counters(root: int) -> tuple[bytearray, dict[int, list[int]], list[int]]:
         m = q - 1
         m >>= (m & -m).bit_length() - 1  # the odd part of q - 1
         while m > 1:
-            p = spf[m >> 1] or m
+            p = 3 if m % 3 == 0 else spf[m // 3] or m  # 3 has no slots
             watchers.setdefault(p, []).append(q)
             need[q >> 1] += 1
             while m % p == 0:

@@ -1,21 +1,24 @@
 """Prime sieves and smallest-prime-factor tables.
 
 Tables are immutable after construction and safe to share across threads.
-Every prime comes from one block routine, _strike: the odd primes p <=
-sqrt(limit) write themselves into the slots of their odd multiples from p^2
-on, a block of odd numbers at a time, and the zeros left are the odd primes
-and n = 1.  One routine, _write_primes, turns zeros into primes, in an array
-sized once by prime_count_bound (Dusart's bound, which sets every memory
-charge for primes too) and trimmed in place.  sieve_primes hands it one
-reused bool buffer per block, its base primes sieved one level down;
-build_tables hands it a factor table's zeros a piece at a time, so a matched
-pair costs one sieve.
+Every prime comes from one block routine, _strike, over a wheel of the n
+coprime to 6: slot s holds n = 3s + 1 + (s & 1), so the slot of such an n
+is n // 3.  The primes 5 <= p <= sqrt(limit) write themselves into the slots
+of their multiples prime to 6 from p^2 on, a block of slots at a time, and
+the zeros left are the primes from 5 and n = 1.  One routine, _write_primes,
+turns zeros into primes, 2 and 3 first, in an array sized once by
+prime_count_bound (Dusart's bound, which sets every memory charge for primes
+too) and trimmed in place.  sieve_primes hands it one reused bool buffer per
+block, its base primes sieved one level down; build_tables hands it a factor
+table's zeros a piece at a time, so a matched pair costs one sieve.
 
-A factor table holds, for each odd n <= limit, the smallest prime factor of
-n when n is composite and 0 when n is a prime or 1: 2 bytes an odd n below
-2^32, 4 bytes from there to 2^40.  A prime array switches at the same
-limit: uint32 below 2^32, int64 from there.  Readers take its primes out by
-.tolist(), int() or astype, or compare them with keys of its own dtype.
+A factor table holds, for each n <= limit prime to 6, the smallest prime
+factor of n when n is composite and 0 when n is a prime or 1: 2 bytes a
+slot below 2^32, 4 bytes from there to 2^40, so 2/3 of a byte an n below
+2^32.  Readers divide out the 2s and 3s of n before they read its slots.  A
+prime array switches at the same limit: uint32 below 2^32, int64 from
+there.  Readers take its primes out by .tolist(), int() or astype, or
+compare them with keys of its own dtype.
 """
 
 from __future__ import annotations
@@ -106,15 +109,17 @@ class PrimeTable:
 class FactorTable:
     """Smallest prime factor of every composite n in [2, limit].
 
-    Only odd n are stored (even n have spf 2).  A composite odd n holds its
-    spf, at most sqrt(limit): uint16 for limits below 2^32, uint32 up to
-    2^40.  A prime holds 0, and so does slot 0 (n = 1), so the spf of an odd
-    n >= 3 reads ``spf_odd[n >> 1] or n``.  prime_powers walks the chain
-    through spf_view.
+    Only the n prime to 6 are stored: n with 2 | n has spf 2, and n with
+    3 | n but not 2 | n has spf 3.  Slot s holds n = 3s + 1 + (s & 1), so n
+    has slot n // 3.  A composite n holds its spf, at most sqrt(limit):
+    uint16 for limits below 2^32, uint32 up to 2^40.  A prime holds 0, and so
+    does slot 0 (n = 1), so the spf of an n >= 5 prime to 6 reads
+    ``spf_odd[n // 3] or n``; perfbench/worker.py reads the array by that
+    name.  prime_powers walks the chain through spf_view.
     """
 
     limit: int
-    spf_odd: np.ndarray  # spf_odd[k] = smallest prime factor of 2k+1 if composite, else 0
+    spf_odd: np.ndarray  # spf_odd[s] = smallest prime factor of 3s + 1 + (s & 1) if composite, else 0
 
     @cached_property
     def spf_view(self) -> memoryview:
@@ -133,24 +138,32 @@ class Tables:
         return min(self.primes.limit, self.factors.limit)
 
 
-def _strike(block: np.ndarray, lo: int, base: list[int]) -> None:
-    """Strike the odd primes in base, increasing, into block: the odd-number slots [lo, lo + len(block)).
+def _slots(limit: int) -> int:
+    """The number of n <= limit prime to 6: n = 1 (mod 6), then n = 5 (mod 6)."""
+    return (limit + 5) // 6 + (limit + 1) // 6
 
-    Slot k holds n = 2k+1, and the odd multiples of p are the slots
-    k = p >> 1 (mod p).  Each p writes itself into those from the slot of p^2
+
+def _strike(block: np.ndarray, lo: int, base: list[int]) -> None:
+    """Strike the primes in base, all >= 5 and increasing, into block: the wheel slots [lo, lo + len(block)).
+
+    The multiples of p prime to 6 are p m for m = p and m = p + 2 or p + 4,
+    whichever is prime to 6, plus multiples of 6: two progressions whose slots
+    p m // 3 step by 2p.  Each p writes itself into both from the slot of p^2
     on, the largest p first, so the smallest wins and the primes keep 0.
     Only the p with p^2 below the block's end strike it.
     """
     hi = lo + len(block)
-    for i in reversed(range(bisect_right(base, math.isqrt(2 * hi)))):
+    for i in reversed(range(bisect_right(base, math.isqrt(3 * hi)))):
         p = base[i]
-        block[max((p * p) >> 1, lo + ((p >> 1) - lo) % p) - lo :: p] = p
+        step = 2 * p
+        for first in (p * p // 3, p * (p + 6 - 2 * (p % 3)) // 3):
+            block[max(first, lo + (first - lo) % step) - lo :: step] = p
 
 
 def _base_primes(limit: int) -> list[int]:
-    """The odd primes <= sqrt(limit): those that strike a sieve to limit."""
+    """The primes 5 <= p <= sqrt(limit): those that strike a sieve to limit."""
     root = math.isqrt(limit)
-    return _sieve(root)[1:].tolist() if root >= 3 else []
+    return _sieve(root)[2:].tolist() if root >= 5 else []
 
 
 def _prime_dtype(limit: int) -> type:
@@ -158,37 +171,39 @@ def _prime_dtype(limit: int) -> type:
 
 
 def _write_primes(limit: int, blocks: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
-    """The primes up to limit >= 2, as _prime_dtype(limit), from (lo, flags) blocks covering its odd slots in order.
+    """The primes up to limit >= 2, as _prime_dtype(limit), from (lo, flags) blocks covering its wheel slots in order.
 
-    flags[k] is true when n = 2(lo + k) + 1 is a prime or 1.  They are read
-    SIEVE_PIECE slots at a time into an array of prime_count_bound(limit)
-    entries, trimmed in place at the end; slot 0 (n = 1) gives its place to 2.
-    Each piece's int64 indices become its primes in place and are then
-    copied into the output, which casts them.
+    flags[k] is true when n = 3s + 1 + (s & 1), s = lo + k, is a prime or 1.
+    They are read SIEVE_PIECE slots at a time into an array of
+    prime_count_bound(limit) entries, trimmed in place at the end, from its
+    second entry on: 2 comes first, and slot 0 (n = 1) gives its place to 3.
+    Each piece's int64 indices become its primes in place, as (3s + 1) | 1,
+    and are then copied into the output, which casts them.
     """
     primes = np.empty(prime_count_bound(limit), dtype=_prime_dtype(limit))
-    i = 0
+    i = 1
     for lo, flags in blocks:
         for start in range(0, len(flags), SIEVE_PIECE):
             found = np.flatnonzero(flags[start : start + SIEVE_PIECE])
-            found *= 2
-            found += 2 * (lo + start) + 1
+            found *= 3
+            found += 3 * (lo + start) + 1
+            found |= 1
             primes[i : i + len(found)] = found
             i += len(found)
-    primes.resize(i, refcheck=False)
-    primes[0] = 2
+    primes[:2] = 2, 3
+    primes.resize(i if limit > 2 else 1, refcheck=False)
     return primes
 
 
 def _sieve(limit: int) -> np.ndarray:
-    """The primes up to limit >= 2 (uint32 below 2^32), SIEVE_BLOCK odd-number slots at a time.
+    """The primes up to limit >= 2 (uint32 below 2^32), SIEVE_BLOCK wheel slots at a time.
 
     One bool buffer is cleared, struck and inverted per block and handed to
     _write_primes.  Beside the primes, a call holds the buffer, the base
     primes and one piece's index array.
     """
     base = _base_primes(limit)
-    slots = (limit + 1) // 2
+    slots = _slots(limit)
     buffer = np.empty(min(slots, SIEVE_BLOCK), dtype=bool)
 
     def blocks() -> Iterator[tuple[int, np.ndarray]]:
@@ -216,7 +231,7 @@ def _factor_table_dtype(limit: int) -> type:
 
 
 def _factor_table_bytes(limit: int) -> int:
-    return (limit + 1) // 2 * np.dtype(_factor_table_dtype(limit)).itemsize  # n = 1, 3, 5, ...
+    return _slots(limit) * np.dtype(_factor_table_dtype(limit)).itemsize  # n = 1, 5, 7, 11, ...
 
 
 def _prime_array_bytes(limit: int) -> int:
@@ -224,12 +239,12 @@ def _prime_array_bytes(limit: int) -> int:
 
 
 def _strike_factor_table(limit: int) -> np.ndarray:
-    """The spf_odd array of a FactorTable: zeros, with each odd composite's spf struck in.
+    """The spf_odd array of a FactorTable: zeros, with each composite's spf struck in.
 
     Each STRIKE_BLOCK slice is struck in place, so it stays in cache while
     every base prime strikes it.
     """
-    spf_odd = np.zeros((limit + 1) // 2, dtype=_factor_table_dtype(limit))
+    spf_odd = np.zeros(_slots(limit), dtype=_factor_table_dtype(limit))
     base = _base_primes(limit)
     for lo in range(0, len(spf_odd), STRIKE_BLOCK):
         _strike(spf_odd[lo : lo + STRIKE_BLOCK], lo, base)
@@ -241,9 +256,10 @@ def table_charge(limit: int) -> dict[str, int]:
 
     They are the factor table, the prime array sized by prime_count_bound
     (4 bytes a prime below 2^32, 8 from there), and the read piece: two
-    pieces' bool flags, and their int64 indices at one prime in two odd
-    slots or fewer, since a piece's arrays are freed only once the next
-    piece's exist.
+    pieces' bool flags, and their int64 indices at one prime in two slots or
+    fewer, since a piece's arrays are freed only once the next piece's
+    exist.  The densest full piece is the first, slots [0, SIEVE_PIECE)
+    or n < 3 SIEVE_PIECE, where under a third of the slots hold a prime.
     """
     return {
         "factor table": _factor_table_bytes(limit),
@@ -278,9 +294,10 @@ def prime_powers(n: int, table: FactorTable | None = None) -> Iterator[tuple[int
     """Yield (p, e) for each p^e exactly dividing n >= 2, p increasing; 2 is divided out first.
 
     With a table, n must lie in [2, table.limit] and the odd primes are read
-    off its spf chain.  Without one, n must lie in [2, 2^40]: every odd prime
-    up to sqrt(m), m the odd part, is tested at once, and what remains of m
-    above 1 is a prime.  A caller that stops early skips the rest.
+    off its spf chain; 3 has no slots, so m % 3 finds it first.  Without one,
+    n must lie in [2, 2^40]: every odd prime up to sqrt(m), m the odd part, is
+    tested at once, and what remains of m above 1 is a prime.  A caller that
+    stops early skips the rest.
     """
     if table is None:
         if n < 2:
@@ -306,7 +323,7 @@ def prime_powers(n: int, table: FactorTable | None = None) -> Iterator[tuple[int
         return
     spf = table.spf_view
     while m > 1:
-        p = spf[m >> 1] or m  # 0 marks a prime
+        p = 3 if m % 3 == 0 else spf[m // 3] or m  # 0 marks a prime
         m //= p
         e = 1
         while m % p == 0:

@@ -5,13 +5,14 @@ pi(x // j) below (y + 1)^2: a term whose range leaves each n room for at
 most one prime factor above the primes it allows (y + 1 standing in for the
 first prime above y) is a leaf, summed from the table instead of recursed
 into.  Pi(x, y) and the set P(x, y) take one of two exact routes, chosen
-from (x, y) alone.  The walk goes up the spf chain of each p - 1, PI_CHUNK
-primes at a time, and stops as soon as the cofactor left is at most y or a
-prime factor above y turns up.  Where the estimate
-x rho(log x / log y) of the y-smooth shifts is at most ENUMERATE_SHARE of
-pi(x), the one rule, the odd y-smooth cofactors k are enumerated instead and
-each 2^a k + 1 is looked up in the factor table, one doubling level at a
-time.  Either route holds at most SHIFT_WORKING_BYTES beside the tables.
+from (x, y) alone.  The walk divides the 2s and 3s out of each p - 1 and
+goes up the spf chain of what is left, PI_CHUNK primes at a time, and stops
+as soon as the cofactor left is at most y or a prime factor above y turns
+up.  Where the estimate x rho(log x / log y) of the y-smooth shifts is at
+most ENUMERATE_SHARE of pi(x), the one rule, the odd y-smooth cofactors k
+are enumerated instead and each 2^a k + 1 prime to 3 is looked up in the
+factor table, one doubling level at a time.  Either route holds at most
+SHIFT_WORKING_BYTES beside the tables.
 Dickman's rho is summed from a power series with positive coefficients on
 each unit interval, so its values carry relative, not absolute, accuracy.
 
@@ -254,15 +255,20 @@ def check_shift_domain(name: str, x: int, y: int) -> None:
 def _walk_masks(x: int, y: int, primes: PrimeTable, table: FactorTable) -> Masks:
     """Yield (chunk, mask) over the primes p <= x, PI_CHUNK at a time; mask marks y-smooth p-1.
 
-    2 <= y < x.  p-1 loses its factors of 2 at once, and its odd cofactor m
-    then walks up the spf chain in uint32 values (uint64 from x > 2^32),
-    whatever the table's dtype.  An entry passes as soon as m <= y, since no
-    factor of m then exceeds y.  It fails at a 0 slot (m itself a prime,
-    above y) or at an spf above y.  Each step divides the entries still
-    walking and compacts them with one index.
+    2 <= y < x.  p-1 loses its factors of 2 at once, then its factors of 3,
+    and its cofactor m, prime to 6, walks up the spf chain in uint32 values
+    (uint64 from x > 2^32), whatever the table's dtype.  3 | m is tested
+    without a division: m times the inverse of 3 mod 2^32 (2^64) is m / 3
+    when 3 | m and above a third of 2^32 (2^64) when not.  At y = 2 only
+    m = 1 passes.  An entry passes as soon as m <= y, since no factor of m
+    then exceeds y.  It fails at a 0 slot (m itself a prime, above y) or at
+    an spf above y.  Each step divides the entries still walking and
+    compacts them with one index.
     """
     ps = primes.primes[: primes.pi(x)]
     dtype = np.uint32 if x <= 2**32 else np.uint64
+    inverse = dtype(0xAAAAAAAB if dtype is np.uint32 else 0xAAAAAAAAAAAAAAAB)  # 3 * inverse = 1
+    third = dtype(np.iinfo(dtype).max // 3)
     spf_odd = table.spf_odd
     for lo in range(0, len(ps), PI_CHUNK):
         chunk = ps[lo : lo + PI_CHUNK]
@@ -271,11 +277,18 @@ def _walk_masks(x: int, y: int, primes: PrimeTable, table: FactorTable) -> Masks
         low = np.negative(m)  # wraps: low & m is the lowest set bit of m
         low &= m
         m //= low  # the odd part
+        if y == 2:  # no slot holds a multiple of 3, and 3 fails anyway
+            yield chunk, m == 1
+            continue
+        threes = np.flatnonzero(m * inverse <= third)
+        while threes.size:
+            m[threes] //= 3
+            threes = threes[m[threes] * inverse <= third]
         mask = m <= y
         idx = np.flatnonzero(~mask)
         m = m[idx]
         while idx.size:
-            spf = spf_odd[m >> 1]
+            spf = spf_odd.take(m // 3)
             ok = (spf != 0) & (spf <= y)
             m //= np.maximum(spf, 1)  # m stays above y at a 0 slot or an spf above y
             done = m <= y
@@ -291,8 +304,10 @@ def _smooth_cofactors(x: int, y: int, primes: PrimeTable) -> np.ndarray | None:
     They are built one odd prime q <= y at a time: each k so far is
     multiplied by q, q^2, ... while it stays in range.  They sit in uint32
     (uint64 from x > 2^32), and the cap allows three entries' bytes for each,
-    what _enumerate_masks holds per k: SHIFT_WORKING_BYTES in all.  It is
-    checked before each concatenation, which holds two.
+    SHIFT_WORKING_BYTES in all.  It is checked before each concatenation,
+    which holds two.  _enumerate_masks then holds ks, a byte a k, and one
+    chunk's working arrays: at the cap (20 + 19) PI_CHUNK bytes, or (18 + 29)
+    from x > 2^32, within SHIFT_WORKING_BYTES = 48 PI_CHUNK.
     """
     dtype = np.uint32 if x <= 2**32 else np.uint64
     cap = SHIFT_WORKING_BYTES // (3 * np.dtype(dtype).itemsize)
@@ -313,20 +328,36 @@ def _smooth_cofactors(x: int, y: int, primes: PrimeTable) -> np.ndarray | None:
 
 
 def _enumerate_masks(x: int, ks: np.ndarray, table: FactorTable) -> Masks:
-    """Yield (candidates, mask) per doubling level, mask marking the primes; p = 2 comes first.
+    """Yield (candidates, mask) per doubling level, mask marking the primes; p = 2 and 3 come first.
 
-    ks are the sorted odd smooth cofactors of _smooth_cofactors.  An odd p
-    with p - 1 = 2^a k, k odd, has slot k 2^(a - 1), so level a reads the
-    slots of the prefix of ks with 2^a k + 1 <= x, all at once: x <= table.limit.
+    ks are the sorted odd smooth cofactors of _smooth_cofactors, and
+    3 <= x <= table.limit.  Level a reads the slots p // 3 of the prefix of
+    ks with p = 2^a k + 1 <= x, PI_CHUNK at a time.  3 divides p exactly
+    when 2^a k = 2 (mod 3), that is when k = 1 (mod 3) for odd a and k = 2
+    for even a: those p have no slot, so their reads are clipped to the
+    table and unmarked.  The slots are made in place and then overwritten by
+    p.  Beside ks and their residues mod 3 (uint8), a chunk holds its
+    candidates, take's intp copy of their slots and one gather from the
+    table, or then the mask and one bool temporary, while the caller still
+    holds the last chunk's pair: at most 19 bytes a candidate, 29 from
+    x > 2^32.
     """
-    yield np.full(1, 2, dtype=ks.dtype), np.ones(1, dtype=bool)
+    yield np.array([2, 3], dtype=ks.dtype), np.ones(2, dtype=bool)
     spf_odd = table.spf_odd
-    for a in range(1, (x - 1).bit_length()):  # k = 1 keeps every level non-empty
-        p = ks[: np.searchsorted(ks, (x - 1) >> a, side="right")] << ks.dtype.type(a - 1)
-        mask = spf_odd[p] == 0
-        p <<= 1
-        p |= 1
-        yield p, mask
+    residues = (ks % 3).astype(np.uint8)
+    for a in range(1, (x - 1).bit_length()):
+        shift = ks.dtype.type(a)
+        n = np.searchsorted(ks, ks.dtype.type((x - 1) >> a), side="right")  # an int key would cast ks
+        for lo in range(0, n, PI_CHUNK):
+            k = ks[lo : min(n, lo + PI_CHUNK)]
+            p = k << shift
+            p |= 1
+            p //= 3
+            mask = spf_odd.take(p, mode="clip") == 0
+            mask &= residues[lo : lo + len(k)] != 2 - (a & 1)
+            np.left_shift(k, shift, out=p)
+            p |= 1
+            yield p, mask
 
 
 def _shifted_smooth_masks(

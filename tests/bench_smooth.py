@@ -6,8 +6,8 @@ Run it by name; the ``bench_`` prefix keeps it out of the default test run:
     PYTHONPATH=src python -m pytest tests/bench_smooth.py
 
 z = 10^7 with the two y of the benchmark's ``smooth`` workload: the hild
-y = round(e^sqrt(log z)) = 55 and y = isqrt(z) = 3162.  sieve_primes(10^7),
-sieve_primes(10^8) and build_tables(10^7) are timed on their own, fresh each
+y = round(e^sqrt(log z)) = 55 and y = isqrt(z) = 3162.  sieve_primes and
+build_tables, each to 10^7 and 10^8, are timed on their own, fresh each
 round, and each one's tracemalloc peak, from one more call outside the timed
 rounds, is printed (run with -s) and kept in extra_info; the Pi calls
 read one pair built outside the timed calls.  Pi is timed at y = 55, which
@@ -60,10 +60,11 @@ def test_sieve_primes(benchmark, limit, count):
     _record_peak(benchmark, f"sieve_primes({limit})", sieve_primes, limit)
 
 
-def test_build_tables(benchmark):
-    tables = benchmark.pedantic(build_tables, args=(Z,), rounds=20)
-    assert tables.primes.count == 664_579
-    _record_peak(benchmark, f"build_tables({Z})", build_tables, Z)
+@pytest.mark.parametrize("limit, count", [(Z, 664_579), (10**8, 5_761_455)], ids=["1e7", "1e8"])
+def test_build_tables(benchmark, limit, count):
+    tables = benchmark.pedantic(build_tables, args=(limit,), rounds=20)
+    assert tables.primes.count == count
+    _record_peak(benchmark, f"build_tables({limit})", build_tables, limit)
 
 
 @pytest.mark.parametrize("y", PI)

@@ -31,5 +31,5 @@ def family_builds(monkeypatch):
         return real(limit, **kwargs)
 
     monkeypatch.setattr(construction, "build_tables", counted)
-    construction.build_family.cache_clear()
+    construction._family.cache_clear()
     return calls

@@ -1,13 +1,12 @@
 """Brute-force reference implementations used to pin expected values.
 
 Everything here is deliberately slow and simple: trial division, a sieve
-of Eratosthenes with one flag per integer, a greatest-prime-factor sieve, a
-divisor-criterion sieve, a closed-set search that tests every prime at
+of Eratosthenes with one flag per integer, smallest- and
+greatest-prime-factor sieves over every integer, a divisor-criterion sieve, a closed-set search that tests every prime at
 every node, the defining congruence over every base, subset
 products by itertools.combinations, Pascal's triangle, and a trapezoid
 solver of the integral form of the rho delay equation.  None of it shares
-code with the package under test; spf_many only reads a factor table's
-array.
+code with the package under test.
 """
 
 import math
@@ -61,17 +60,14 @@ def trial_spf(n):
     return n
 
 
-def spf_many(table, values):
-    """Vectorised smallest-prime-factor lookup in a FactorTable's odd-slot array; 2 <= v <= limit.
-
-    An odd slot holds 0 for a prime, whose smallest prime factor is the value itself.
-    """
-    out = np.full(values.shape, 2, dtype=np.int64)
-    odd = (values & 1).astype(bool)
-    out[odd] = table.spf_odd[values[odd] >> 1]
-    prime = odd & (out == 0)
-    out[prime] = values[prime]
-    return out
+@lru_cache(maxsize=2)
+def spf_sieve(limit):
+    """spf[n] for every n <= limit >= 4, as int64 (spf[1] = 1): each prime p <= sqrt(limit),
+    largest first, overwrites p^2, p^2 + p, ..., so the smallest prime factor writes last."""
+    spf = np.arange(limit + 1, dtype=np.int64)
+    for p in reversed(flag_sieve(math.isqrt(limit)).tolist()):
+        spf[p * p :: p] = p
+    return spf
 
 
 def trial_gpf(n):

@@ -217,6 +217,18 @@ def test_certificate_boundary_example():
     assert cert.lemma2_applicable
 
 
+@pytest.mark.parametrize(
+    "x, r, s, pi, a, applicable",
+    [(720 * 20**5, 5, 20, 8, 5, True), (6_350_400 * 100**10, 10, 100, 17, 10, False)],
+    ids=["2A=pi+2", "2A=pi+3"],
+)
+def test_lemma2_applies_up_to_2a_equal_to_pi_plus_2(x, r, s, pi, a, applicable):
+    """lemma2_applicable is 2A <= pi + 2; x = D s^A puts A at 5 for pi = 8 and at 10 for pi = 17."""
+    cert = certify_lower_bound(Schedule.manual(x, r, s))
+    assert (cert.pi, cert.A, 2 * cert.A - cert.pi) == (pi, a, 2 if applicable else 3)
+    assert cert.lemma2_applicable is applicable
+
+
 def test_certificate_tiny_example():
     cert = certify_lower_bound(Schedule.manual(10, 2, 2))
     assert (cert.pi, cert.A, cert.count) == (1, 1, 1)

@@ -54,7 +54,7 @@ def test_nc_check_true_json(capsys):
 def test_nc_check_plain(capsys):
     assert invoke(capsys, "nc", "check", "561")[1] == "false prime 3\n"
     assert invoke(capsys, "nc", "check", "8")[1] == "true\n"
-    # No factor table: n above the default table budget (about 1.07e9) is checked too.
+    # No factor table: n above the default table budget (about 2.49e9) is checked too.
     assert invoke(capsys, "nc", "check", "10^12") == (EXIT_OK, "true\n", "")
 
 
@@ -289,7 +289,8 @@ def test_memory_budget_flag(capsys):
     )
     assert code == EXIT_RESOURCE
     assert "budget" in err
-    # The table alone fits 1 MB (2 bytes an odd n); the budget also counts the prime array beside it.
+    # The table alone fits 1 MB (666 666 bytes, 2 an n prime to 6); the budget also counts the
+    # prime array, the read piece and the working room beside it.
     code, _, err = invoke(
         capsys, "smooth", "pi", "--x", "10^6", "--y", "5", "--limit-memory", "1000000"
     )

@@ -6,6 +6,7 @@ from itertools import chain, combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nc_forge import construction
 from nc_forge.construction import (
     build_base,
     build_family,
@@ -16,6 +17,7 @@ from nc_forge.construction import (
     verify_family,
 )
 from nc_forge.errors import DomainError, ResourceError
+from nc_forge.sieve import DEFAULT_MEMORY_BUDGET
 from nc_forge.smoothness import ShiftedSmoothSet, shifted_smooth_set
 
 import oracles
@@ -211,7 +213,15 @@ def test_build_family_keeps_one_family(family_builds):
     build_family(101, 11, memory_budget=10**8)  # another budget
     assert family_builds == [100, 100, 101, 101]
     assert build_family(100, 10, memory_budget=10**7) == first  # evicted: one entry only
-    assert len(family_builds) == 5 and build_family.cache_info().currsize == 1
+    assert len(family_builds) == 5 and construction._family.cache_info().currsize == 1
+
+
+def test_build_family_memo_ignores_how_the_budget_is_spelled(family_builds):
+    """The budget left out, passed as None and passed as the default it stands for are one key."""
+    first = build_family(100, 10)
+    assert build_family(100, 10, memory_budget=None) is first
+    assert build_family(100, 10, memory_budget=DEFAULT_MEMORY_BUDGET) is first
+    assert family_builds == [100]
 
 
 def test_a_refused_family_is_refused_again(family_builds):

@@ -104,6 +104,26 @@ def test_list_length_equals_count(oracle_flags, x):
     assert members == np.flatnonzero(flags).tolist()
 
 
+@pytest.fixture(scope="module")
+def running_count_2000():
+    return np.cumsum(nc_flags_sieve(2000))
+
+
+def test_count_matches_the_running_oracle_count_at_every_x_to_2000(running_count_2000):
+    assert [count_nc(x) for x in range(1, 2001)] == running_count_2000[1:].tolist()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=2000))
+@example(6)
+@example(42)
+@example(1806)
+def test_count_keeps_x_equal_to_m_of_a_closed_set(running_count_2000, x):
+    """6 = M({2, 3}), 42 = M({2, 3, 7}) and 1806 = M({2, 3, 7, 43}) are members: a DFS that
+    stops at M(S) q >= x in place of > x loses n = x there."""
+    assert count_nc(x) == running_count_2000[x]
+
+
 def test_count_nondecreasing():
     counts = [count_nc(x) for x in range(1, 200)]
     assert all(a <= b for a, b in zip(counts, counts[1:]))

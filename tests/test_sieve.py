@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -21,7 +22,23 @@ from nc_forge.smoothness import (
     PRIME_LIST_BYTES, pi_smooth_count, pi_table_bytes, psi_count, shifted_smooth_set,
 )
 
-from oracles import flag_sieve, spf_many, trial_factorize, trial_primes, trial_spf
+from oracles import flag_sieve, spf_sieve, trial_factorize, trial_primes, trial_spf
+
+
+def _prime_to_6(limit):
+    """How many n <= limit are prime to 6, by inclusion and exclusion."""
+    return limit - limit // 2 - limit // 3 + limit // 6
+
+
+def _table_spf(table, values):
+    """The spf of each 2 <= v <= table.limit, read off a factor table by its layout: 2 for even v,
+    3 for the other multiples of 3, else slot v // 3, where 0 marks a prime."""
+    out = np.where(values % 2 == 0, 2, 3)
+    wheel = np.flatnonzero((values % 2 != 0) & (values % 3 != 0))
+    out[wheel] = table.spf_odd[values[wheel] // 3]
+    prime = out == 0
+    out[prime] = values[prime]
+    return out
 
 
 def test_sieve_first_primes():
@@ -83,8 +100,9 @@ def test_sieve_rejects_huge_limits():
 
 def test_factor_table_examples():
     t = build_tables(100).factors
-    assert spf_many(t, np.array([12, 9, 11, 91, 2])).tolist() == [2, 3, 11, 7, 2]
-    assert t.spf_odd[[1 >> 1, 9 >> 1, 11 >> 1, 91 >> 1]].tolist() == [0, 3, 0, 7]
+    assert _table_spf(t, np.array([12, 9, 11, 91, 2, 25, 35])).tolist() == [2, 3, 11, 7, 2, 5, 5]
+    assert t.spf_odd[[1 // 3, 25 // 3, 11 // 3, 91 // 3]].tolist() == [0, 5, 0, 7]
+    assert len(t.spf_odd) == 33  # 1, 5, 7, 11, ..., 95, 97
 
 
 def test_factor_table_prime_fixed_points():
@@ -99,12 +117,43 @@ def test_factor_table_prime_fixed_points():
 
 
 def test_factor_table_matches_trial_division():
-    """Every limit to 300 and 10^5: slot k holds spf(2k+1), or 0 when 2k+1 is a prime or 1.
-    At limit = p^2 the strike of p starts on the last slot; at p^2 - 1, p strikes nothing."""
-    want = [0 if trial_spf(n) == n else trial_spf(n) for n in range(1, 10**5 + 1, 2)]
+    """Every limit to 300 and 10^5: slot s holds spf(n), n the s-th number prime to 6 from 1, or 0
+    when n is a prime or 1.  At limit = p^2 the strike of p starts on the last slot; at p^2 - 1,
+    p strikes nothing."""
+    wheel = [n for n in range(1, 10**5 + 1) if n % 2 and n % 3]
+    want = [0 if trial_spf(n) == n else trial_spf(n) for n in wheel]
     for limit in [*range(2, 301), 10**5]:
         table = build_tables(limit).factors
-        assert table.spf_odd.tolist() == want[: (limit + 1) // 2], limit
+        assert table.spf_odd.tolist() == want[: bisect_right(wheel, limit)], limit
+
+
+def test_factor_table_reads_every_spf_to_1e5():
+    """Every n <= 10^5, even and multiples of 3 too, read off the table as its readers do."""
+    n = np.arange(2, 10**5 + 1)
+    assert np.array_equal(_table_spf(build_tables(10**5).factors, n), spf_sieve(10**5)[n])
+
+
+def _block_edges(block):
+    """Limits M + d, d = -2 .. 1, around M = 3 k block for the first and second block ends (k = 1, 2).
+    M is a multiple of 6 (block is even) below which k block numbers are prime to 6, so the slots
+    end one short of the block end at d = -2, on it at d = -1 and 0, and one past it at d = 1."""
+    return [3 * k * block + d for k in (1, 2) for d in (-2, -1, 0, 1)]
+
+
+@pytest.mark.parametrize("block", [sieve.STRIKE_BLOCK, sieve.SIEVE_PIECE], ids=["strike-block", "sieve-piece"])
+def test_factor_table_matches_spf_sieve_at_block_edges(block):
+    """The slots of tables whose last slot falls next to a strike block's or a read piece's end, against
+    the oracle's spf sieve at the n prime to 6, listed by their residues mod 6."""
+    limits = _block_edges(block)
+    assert len({_prime_to_6(limit) for limit in limits}) == 6
+    n = np.arange(1, max(limits) + 1)
+    n = n[(n % 6 == 1) | (n % 6 == 5)]
+    want = spf_sieve(max(limits))[n]
+    want[want == n] = 0
+    for limit in limits:
+        table = build_tables(limit).factors
+        assert len(table.spf_odd) == _prime_to_6(limit) == np.searchsorted(n, limit, side="right"), limit
+        assert np.array_equal(table.spf_odd, want[: len(table.spf_odd)]), limit
 
 
 def test_factor_table_build_allocates_nothing_beside_the_table():
@@ -144,7 +193,7 @@ def test_prime_list_budget_covers_the_measured_peak():
 
 def test_build_tables_budget_counts_the_prime_array():
     check_budget({"factor table": sieve._factor_table_bytes(10**6)}, 1_000_000)  # the table alone fits
-    with pytest.raises(ResourceError, match="factor table 1000000 \\+ prime array \\d+ \\+ read piece \\d+ bytes"):
+    with pytest.raises(ResourceError, match="factor table 666666 \\+ prime array \\d+ \\+ read piece \\d+ bytes"):
         build_tables(10**6, memory_budget=1_000_000)
 
 
@@ -197,8 +246,10 @@ def test_wider_tables_read_like_uint16(tables_small):
 
 
 def test_table_dtype_switches_at_2_to_32():
-    assert sieve._factor_table_bytes(2**32 - 1) == 2**31 * 2
-    assert sieve._factor_table_bytes(2**32) == 2**31 * 4
+    """2 bytes a slot below 2^32 and 4 from there; 2^32 = 6k + 4, so 2^32 + 1 adds a slot."""
+    assert sieve._factor_table_bytes(2**32 - 1) == 2 * _prime_to_6(2**32 - 1) == 2 * (2**32 - 1) // 3
+    assert sieve._factor_table_bytes(2**32) == 4 * _prime_to_6(2**32) == 4 * (2**32 - 1) // 3
+    assert sieve._factor_table_bytes(2**32 + 1) == 4 * _prime_to_6(2**32 + 1) == 4 * (2**32 + 2) // 3
 
 
 def test_prime_array_dtype_switches_at_2_to_32():
@@ -247,11 +298,6 @@ def test_build_tables_checks_the_budget_before_sieving(monkeypatch):
         build_tables(10**8, memory_budget=1000)
 
 
-def _block_edges(block):
-    """Limits whose odd slots end one short of, on, or one past the first and second block ends."""
-    return [2 * k * block + d for k in (1, 2) for d in (-2, -1, 0, 1)]
-
-
 @pytest.mark.parametrize(
     "limits, block",
     [
@@ -266,7 +312,7 @@ def _block_edges(block):
     ids=["2..300", "strike-block", "sieve-block", "sieve-piece", "1e7", "1e6-block-4096", "1e6-block-9973"],
 )
 def test_sieve_primes_matches_flag_sieve(monkeypatch, limits, block):
-    """sieve_primes against one flag per integer: every limit to 300, the limits whose odd
+    """sieve_primes against one flag per integer: every limit to 300, the limits whose
     slots end next to the first and second ends of a factor-table block (the second and fourth
     sieve block ends), a sieve block and a piece, and 10^7.  At 10^6 the block is also
     shrunk, to a power of 2 and to an odd size, and the primes must not change."""
@@ -329,7 +375,7 @@ def test_factorize_rejects_out_of_range(tables_small):
 
 
 def test_factorize_reconstructs_exhaustively_to_1e6(tables_1e6):
-    """Chain-walk every n <= 10^6: product restores n, primes ascend, all prime."""
+    """Chain-walk every n <= 10^6: product restores n, primes ascend, each is the oracle's spf."""
     table = tables_1e6.factors
     is_prime = np.zeros(10**6 + 1, dtype=bool)
     is_prime[tables_1e6.primes.primes] = True
@@ -339,7 +385,8 @@ def test_factorize_reconstructs_exhaustively_to_1e6(tables_1e6):
     m = n.copy()
     idx = np.flatnonzero(m > 1)
     while idx.size:
-        p = spf_many(table, m[idx])
+        p = _table_spf(table, m[idx])
+        assert np.array_equal(p, spf_sieve(10**6)[m[idx]])
         assert bool(is_prime[p].all())
         assert bool((p >= prev[idx]).all())
         prev[idx] = p

@@ -338,6 +338,22 @@ def test_pi_smooth_enumeration_holds_its_cofactors_only(tables_1e7):
     assert peak <= smoothness.SHIFT_WORKING_BYTES == 48 * smoothness.PI_CHUNK
 
 
+def test_pi_smooth_enumeration_fits_the_working_room_at_its_cap(monkeypatch, tables_1e7):
+    """With the working room shrunk until Pi(10^7, 55)'s 24 055 cofactors just fit its cap of
+    24 576, the enumeration, chunks and all, peaks within that room."""
+    monkeypatch.setattr(smoothness, "PI_CHUNK", 6144)
+    monkeypatch.setattr(smoothness, "SHIFT_WORKING_BYTES", 48 * 6144)
+    p, f = tables_1e7.primes, tables_1e7.factors
+    assert len(smoothness._smooth_cofactors(10**7, 55, p)) == 24_055
+    tracemalloc.start()
+    try:
+        assert pi_smooth_count(10**7, 55, p, f) == 16_826
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= smoothness.SHIFT_WORKING_BYTES
+
+
 def test_pi_smooth_pinned_at_1e7(tables_1e7):
     p, f = tables_1e7.primes, tables_1e7.factors
     assert pi_smooth_count(10**7, 55, p, f) == 16_826
